@@ -20,12 +20,9 @@ from .functionals import (
 from .linalg import (
     CGResult,
     CurvatureError,
-    DiagonalOperator,
     SparseMatrix,
     as_vector,
     cg_solve,
-    matvec,
-    transpose_matvec,
 )
 from .solvers import (
     ArmijoRule,
@@ -38,7 +35,6 @@ from .solvers import (
     run_ista,
     run_levenberg_marquardt,
     run_newton,
-    run_transformed_ista,
     soft_threshold,
 )
 from .tomo import (

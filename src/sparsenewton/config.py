@@ -22,11 +22,10 @@ seed = 0, out = results, timing = wall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
 
+from .solvers import FISTA_VARIANTS, SOLVER_KNOBS, SOLVER_NAMES
 from .tomo import TomoGeometry
-
-SOLVER_NAMES = ("ista", "fista", "gd", "lm", "newton", "transformed-ista")
 
 _TIMING_MODES = ("wall", "off")
 
@@ -47,24 +46,13 @@ class ExperimentConfig:
     solver_overrides: dict = field(default_factory=dict)
 
 
-def _parse_int(text, line_no, key):
+def _parse(parse, text, line_no, key):
+    """parse(text), reporting a malformed value against its line."""
     try:
-        return int(text)
+        return parse(text)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} must be an integer, got '{text}'") from None
-
-
-def _parse_float(text, line_no, key):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: {key} must be a number, got '{text}'") from None
-
-
-def _parse_float_or_auto(text, line_no, key):
-    if text == "auto":
-        return "auto"
-    return _parse_float(text, line_no, key)
+        kind = "an integer" if parse is int else "a number"
+        raise ConfigError(f"line {line_no}: {key} must be {kind}, got '{text}'") from None
 
 
 def _parse_str_list(text, line_no, key):
@@ -76,32 +64,15 @@ def _parse_str_list(text, line_no, key):
 
 
 def _parse_float_list(text, line_no, key):
-    return [_parse_float(part, line_no, key) for part in _parse_str_list(text, line_no, key)]
+    return [_parse(float, part, line_no, key) for part in _parse_str_list(text, line_no, key)]
 
 
-_GEOMETRY_KEYS = {"m": _parse_int, "n_angles": _parse_int, "n_beams": _parse_int,
-                  "spacing": _parse_float}
+_GEOMETRY_KEYS = {"m": partial(_parse, int), "n_angles": partial(_parse, int),
+                  "n_beams": partial(_parse, int), "spacing": partial(_parse, float)}
 _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_list,
-                    "repetitions": _parse_int, "seed": _parse_int,
-                    "out": lambda t, n, k: t, "timing": lambda t, n, k: t}
-_SOLVER_KEYS = {
-    "alpha": _parse_float_or_auto,
-    "epsilon": _parse_float_or_auto,
-    "tau": _parse_float,
-    "omega": _parse_float_or_auto,
-    "beta": _parse_float,
-    "max_iter": _parse_int,
-    "inner_tol": _parse_float,
-    "grad_tol": _parse_float,
-    "warm_start": _parse_int,
-    "lm_alpha0": _parse_float_or_auto,
-    "lm_decay": _parse_float,
-    "lm_floor": _parse_float,
-    "armijo_t0": _parse_float,
-    "armijo_shrink": _parse_float,
-    "armijo_slope": _parse_float,
-    "variant": lambda t, n, k: t,
-}
+                    "repetitions": partial(_parse, int), "seed": partial(_parse, int),
+                    "out": partial(_parse, str), "timing": partial(_parse, str)}
+_SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, _) in SOLVER_KNOBS.items()}
 
 
 def _section_schema(section, line_no):
@@ -182,9 +153,15 @@ def parse_config(path) -> ExperimentConfig:
                 f"available: {', '.join(SOLVER_NAMES)}"
             )
     noise_levels, noise_line = take("experiment", "noise_levels", [0.1])
+    stems = {}
     for level in noise_levels:
         if level < 0.0:
             raise ConfigError(f"line {noise_line}: noise levels must be >= 0")
+        stem = f"{level:g}"  # how output file names carry the level
+        if stem in stems:
+            raise ConfigError(f"line {noise_line}: noise levels {stems[stem]!r} and "
+                              f"{level!r} would write the same files (both print as {stem})")
+        stems[stem] = level
     repetitions, rep_line = take("experiment", "repetitions", 1)
     if repetitions < 0:
         raise ConfigError(f"line {rep_line}: repetitions must be >= 0")
@@ -201,10 +178,9 @@ def parse_config(path) -> ExperimentConfig:
         name = sec[len("solver."):]
         if key == "tau" and value <= 1.0:
             raise ConfigError(f"line {line_no}: tau must exceed 1")
-        if key == "variant" and value not in ("nesterov-t", "beta"):
-            raise ConfigError(
-                f"line {line_no}: variant must be 'nesterov-t' or 'beta', got '{value}'"
-            )
+        if key == "variant" and value not in FISTA_VARIANTS:
+            choices = " or ".join(f"'{v}'" for v in FISTA_VARIANTS)
+            raise ConfigError(f"line {line_no}: variant must be {choices}, got '{value}'")
         overrides.setdefault(name, {})[key] = value
 
     return ExperimentConfig(geometry, solvers, noise_levels, repetitions,

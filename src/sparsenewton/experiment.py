@@ -22,20 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import SOLVER_NAMES, ExperimentConfig
+from .config import ExperimentConfig
 from .functionals import ProblemData, back_transform
-from .solvers import (
-    ArmijoRule,
-    SolverConfig,
-    resolve_epsilon,
-    run_fista,
-    run_gradient_descent,
-    run_ista,
-    run_levenberg_marquardt,
-    run_newton,
-    run_transformed_ista,
-)
-from .transform import TransformSpec
+from .solvers import FISTA_VARIANTS, RUNNERS, SOLVER_KNOBS, SOLVER_NAMES, ArmijoRule, SolverConfig
 from .tomo import NoiseModel, ProblemInstance, add_noise, build_parallel_tomo, shepp_logan, write_pgm
 
 SCHEMA_LINE = "# schema=1"
@@ -47,39 +36,14 @@ TRACE_HEADER = "iter,residual,functional,rel_error,wall_s"
 # when delta == 0 the weight falls back to a fraction of ||y_delta||.
 ALPHA_COEFF = 0.01
 
-_COMMON_DEFAULTS = dict(alpha="auto", tau=1.1, omega="auto", beta=3.0,
-                        max_iter=1000, inner_tol=1e-10, grad_tol=0.0,
-                        warm_start=0, lm_alpha0="auto", lm_decay=0.6,
-                        lm_floor=1e-14, armijo_t0=1.0, armijo_shrink=0.5,
-                        armijo_slope=1e-4, variant="nesterov-t")
-
-# Iterating on the substituted variable from exactly zero cannot move (the
-# Jacobian diagonal vanishes there), so those methods warm start from a few
-# FISTA sketch iterations by default.
-_SOLVER_DEFAULTS = {
-    "ista": dict(max_iter=50000),
-    "fista": dict(max_iter=20000),
-    "transformed-ista": dict(max_iter=20000, warm_start=5),
-    "gd": dict(max_iter=2000, warm_start=5, epsilon=0.0),
-    "lm": dict(max_iter=50, warm_start=5, epsilon=0.0),
-    "newton": dict(max_iter=50, warm_start=5, epsilon="auto"),
-}
-
-_RUNNERS = {
-    "ista": run_ista,
-    "fista": run_fista,
-    "gd": run_gradient_descent,
-    "lm": run_levenberg_marquardt,
-    "newton": run_newton,
-    "transformed-ista": run_transformed_ista,
-}
-assert set(_RUNNERS) == set(SOLVER_NAMES)
+# Config keys of the ArmijoRule fields.
+_ARMIJO_KEYS = {"armijo_t0": "t_init", "armijo_shrink": "shrink", "armijo_slope": "slope"}
 
 
 def resolve_alpha(value, delta: float, y_delta) -> float:
-    """"auto" regularization weight: ALPHA_COEFF * delta, or a small multiple
-    of ||y_delta|| in the noise-free case."""
-    if value != "auto":
+    """"auto" (or unset) regularization weight: ALPHA_COEFF * delta, or a
+    small multiple of ||y_delta|| in the noise-free case."""
+    if value not in (None, "auto"):
         return float(value)
     if delta > 0.0:
         return ALPHA_COEFF * delta
@@ -88,26 +52,23 @@ def resolve_alpha(value, delta: float, y_delta) -> float:
 
 def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
     """SolverConfig for one sweep cell; returns (config, fista_variant)."""
-    if name not in _RUNNERS:
+    if name not in RUNNERS:
         raise ValueError(f"unknown solver '{name}'; available: {', '.join(SOLVER_NAMES)}")
-    opts = dict(_COMMON_DEFAULTS)
-    opts.update(_SOLVER_DEFAULTS.get(name, {}))
+    opts = {key: methods[name] for key, (_, methods) in SOLVER_KNOBS.items() if name in methods}
     opts.update(overrides)
-    variant = opts.pop("variant")
-    armijo = ArmijoRule(opts.pop("armijo_t0"), opts.pop("armijo_shrink"),
-                        opts.pop("armijo_slope"))
-    alpha = resolve_alpha(opts.pop("alpha"), delta, y_delta)
-    epsilon = opts.pop("epsilon", None)
-    cfg = SolverConfig(alpha=alpha, epsilon=epsilon, armijo=armijo, **opts)
-    return cfg, variant
+    variant = opts.pop("variant", FISTA_VARIANTS[0])
+    armijo = ArmijoRule(**{attr: opts.pop(key) for key, attr in _ARMIJO_KEYS.items()
+                           if key in opts})
+    alpha = resolve_alpha(opts.pop("alpha", None), delta, y_delta)
+    return SolverConfig(alpha=alpha, armijo=armijo, **opts), variant
 
 
-def run_solver(name: str, p: ProblemData, cfg: SolverConfig, delta: float,
-               variant: str = "nesterov-t", **kwargs):
-    runner = _RUNNERS[name]
+def run_solver(name: str, p: ProblemData, cfg: SolverConfig, delta: float, variant: str,
+               **kwargs):
+    """Run the named method; variant is FISTA's momentum rule."""
     if name == "fista":
-        return runner(p, cfg, delta, variant=variant, **kwargs)
-    return runner(p, cfg, delta, **kwargs)
+        kwargs["variant"] = variant
+    return RUNNERS[name](p, cfg, delta, **kwargs)
 
 
 @dataclass
@@ -136,13 +97,7 @@ def _run_cell(name, overrides, instance: ProblemInstance, noise_rel, rep, timing
                               x_true=instance.x_true, timer=timer)
     except Exception as exc:  # errored runs still get a summary row
         return CellResult(name, noise_rel, rep, None, None, f"{type(exc).__name__}: {exc}")
-    if name in ("ista", "fista"):
-        image = x
-    else:
-        # map the substituted-variable result back with the epsilon the runner used
-        default = "auto" if name == "newton" else 0.0
-        eps = resolve_epsilon(cfg, instance.delta, instance.y_delta, default)
-        image = back_transform(x, TransformSpec(eps))
+    image = x if trace.spec is None else back_transform(x, trace.spec)
     return CellResult(name, noise_rel, rep, image, trace, None)
 
 

@@ -65,7 +65,7 @@ def grad_J(p: ProblemData, x, spec: TransformSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     r = p.A.matvec(_transformed(spec, x)) - p.y_delta
     atr = p.A.transpose_matvec(r)
-    return 2.0 * gradient_diag(spec, x).apply(atr) + 2.0 * p.alpha * x
+    return 2.0 * (gradient_diag(spec, x) * atr) + 2.0 * p.alpha * x
 
 
 def hessian_operator(p: ProblemData, x, spec: TransformSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -80,8 +80,8 @@ def hessian_operator(p: ProblemData, x, spec: TransformSpec) -> Callable[[np.nda
     x = np.asarray(x, dtype=np.float64)
     r = p.A.matvec(apply_N_eps(spec, x)) - p.y_delta
     atr = p.A.transpose_matvec(r)
-    curvature = hessian_diag(spec, x, atr).diagonal
-    g = gradient_diag(spec, x).diagonal
+    curvature = hessian_diag(spec, x, atr)
+    g = gradient_diag(spec, x)
 
     def apply_hessian(w):
         w = np.asarray(w, dtype=np.float64)

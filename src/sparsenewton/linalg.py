@@ -39,7 +39,7 @@ def as_vector(x) -> np.ndarray:
 
 
 class SparseMatrix:
-    """CSR matrix with the three index arrays exposed as the public contract.
+    """CSR matrix with its three arrays exposed as the public contract.
 
     Parameters
     ----------
@@ -78,12 +78,13 @@ class SparseMatrix:
             raise ValueError("matrix values contain NaN or infinite entries")
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.row_offsets = row_offsets
-        self.col_indices = col_indices
-        self.values = values
         self._csr = scipy.sparse.csr_matrix(
             (values, col_indices, row_offsets), shape=(n_rows, n_cols), copy=False
         )
+        # scipy's own arrays (its index type, usually int32) are the public ones
+        self.row_offsets = self._csr.indptr
+        self.col_indices = self._csr.indices
+        self.values = self._csr.data
         # CSC view sharing the CSR arrays; products through it are the scatter pass.
         self._csc_t = self._csr.T
         self._norm2_estimate: Optional[float] = None
@@ -137,37 +138,6 @@ class SparseMatrix:
                 v = w / nw
             self._norm2_estimate = float(np.sqrt(sigma2))
         return self._norm2_estimate
-
-
-def matvec(A: SparseMatrix, x) -> np.ndarray:
-    """Compute ``A @ x``."""
-    return A.matvec(x)
-
-
-def transpose_matvec(A: SparseMatrix, y) -> np.ndarray:
-    """Compute ``A.T @ y`` without forming the transpose."""
-    return A.transpose_matvec(y)
-
-
-@dataclass
-class DiagonalOperator:
-    """Multiplication by ``diag(diagonal)``."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        self.diagonal = as_vector(self.diagonal)
-
-    def __len__(self) -> int:
-        return self.diagonal.size
-
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != self.diagonal.shape:
-            raise ValueError(
-                f"diagonal has length {self.diagonal.size} but vector has shape {v.shape}"
-            )
-        return self.diagonal * v
 
 
 @dataclass

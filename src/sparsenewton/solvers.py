@@ -4,13 +4,15 @@ ISTA and FISTA iterate on the original variable; gradient descent,
 Levenberg-Marquardt and Newton iterate on the substituted variable x~ and
 their reconstructions are read off through back_transform.
 
-Conventions shared by all runners:
+Each method is a step function; one driver, ``_iterate``, runs all of them
+and owns what they share:
 
 * the discrepancy principle ||residual|| <= tau * delta is checked at the
   initial point and after every step (boundary inclusive);
 * stop reasons are "discrepancy", "max_iter" or "stagnation" (the latter also
   covers gradient-tolerance exits and failed line searches);
-* traces carry one row per iterate, starting with the initial point.
+* traces carry one row per iterate, starting with the initial point, and the
+  TransformSpec the run iterated with (None on the original variable).
 
 Note on constants: the ISTA/FISTA update is
 x_{k+1} = S_{alpha omega}(x_k - omega A^T(A x_k - y)), whose fixed points
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +41,8 @@ MAX_BACKTRACKS = 60
 STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITER = "max_iter"
 STOP_STAGNATION = "stagnation"
+
+FISTA_VARIANTS = ("nesterov-t", "beta")  # the first is the default
 
 
 class DivergenceError(RuntimeError):
@@ -66,12 +70,13 @@ class ArmijoRule:
 class SolverConfig:
     """Knobs shared by all runners; unknown to a given method = ignored by it.
 
-    alpha overrides the ProblemData weight when set.  epsilon semantics:
-    None picks the per-method default (0 for gradient descent and LM, the
-    "auto" rule for Newton); "auto" resolves to 1e-4 * delta, falling back to
+    The field defaults are the common defaults of the solver knobs; the
+    per-method ones are in SOLVER_KNOBS.  alpha overrides the ProblemData
+    weight when set.  epsilon semantics: None picks the method's default from
+    SOLVER_KNOBS; "auto" resolves to 1e-4 * delta, falling back to
     1e-8 * ||y_delta|| when delta == 0.  omega "auto" is 0.9 / ||A||_2^2 with
-    the norm estimated by 100 power iterations.  lm_alpha0 None resolves to
-    delta, giving the shift schedule alpha_n = delta * lm_decay^n.
+    the norm estimated by 100 power iterations.  lm_alpha0 None or "auto"
+    resolves to delta, giving the shift schedule alpha_n = delta * lm_decay^n.
     """
 
     alpha: Optional[float] = None
@@ -88,7 +93,6 @@ class SolverConfig:
     grad_tol: float = 0.0
     x0: Optional[np.ndarray] = None
     warm_start: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha is not None and self.alpha <= 0.0:
@@ -97,6 +101,8 @@ class SolverConfig:
             raise ValueError("tau must exceed 1")
         if self.beta < 3.0:
             raise ValueError("beta must be >= 3")
+        if self.lm_alpha0 not in (None, "auto") and self.lm_alpha0 < 0.0:
+            raise ValueError("lm_alpha0 must be >= 0")
         if not 0.0 < self.lm_decay < 1.0:
             raise ValueError("lm_decay must lie in (0, 1)")
         if self.lm_floor <= 0.0:
@@ -113,7 +119,11 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-iterate history plus the stopping verdict."""
+    """Per-iterate history plus the stopping verdict.
+
+    spec is the transform the run iterated with, so N_eps(x) of the returned
+    x is the reconstruction; None for methods on the original variable.
+    """
 
     iterations: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
@@ -122,6 +132,7 @@ class IterationTrace:
     wall_times: list = field(default_factory=list)
     stop_reason: str = ""
     n_star: int = 0
+    spec: Optional[TransformSpec] = None
 
 
 def soft_threshold(x, threshold: float) -> np.ndarray:
@@ -133,55 +144,6 @@ def soft_threshold(x, threshold: float) -> np.ndarray:
 def check_discrepancy(residual_norm: float, tau: float, delta: float) -> bool:
     """True when ||residual|| <= tau * delta (boundary inclusive)."""
     return residual_norm <= tau * delta
-
-
-class _Stagnation:
-    """Counts consecutive iterations with relative functional change < rtol."""
-
-    def __init__(self):
-        self.prev = None
-        self.count = 0
-
-    def update(self, f: float) -> bool:
-        if self.prev is not None and abs(self.prev - f) < STAGNATION_RTOL * max(1.0, abs(self.prev)):
-            self.count += 1
-        else:
-            self.count = 0
-        self.prev = f
-        return self.count >= STAGNATION_WINDOW
-
-
-class _Recorder:
-    """Accumulates trace rows; wall time is cumulative from construction."""
-
-    def __init__(self, timer, image_of, x_true, callback):
-        self.trace = IterationTrace()
-        self.timer = timer
-        self.image_of = image_of
-        self.x_true = x_true
-        self.x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
-        self.callback = callback
-        self.t0 = timer()
-
-    def record(self, n: int, x: np.ndarray, residual: float, functional: float):
-        if self.x_true is None:
-            rel = float("nan")
-        else:
-            err = np.linalg.norm(self.image_of(x) - self.x_true)
-            rel = float(err / self.x_true_norm) if self.x_true_norm > 0 else float(err)
-        t = self.trace
-        t.iterations.append(n)
-        t.residuals.append(residual)
-        t.functionals.append(functional)
-        t.rel_errors.append(rel)
-        t.wall_times.append(self.timer() - self.t0)
-        if self.callback is not None:
-            self.callback(n, x)
-
-    def finish(self, reason: str):
-        self.trace.stop_reason = reason
-        self.trace.n_star = self.trace.iterations[-1]
-        return self.trace
 
 
 def _effective_problem(p: ProblemData, cfg: SolverConfig) -> ProblemData:
@@ -211,6 +173,15 @@ def resolve_epsilon(cfg: SolverConfig, delta: float, y_delta, default) -> float:
     return eps
 
 
+def _transform_spec(cfg: SolverConfig, delta: float, y_delta, method: str) -> TransformSpec:
+    default = SOLVER_KNOBS["epsilon"][1][method]
+    return TransformSpec(resolve_epsilon(cfg, delta, y_delta, default))
+
+
+def _lm_alpha0(cfg: SolverConfig, delta: float) -> float:
+    return delta if cfg.lm_alpha0 in (None, "auto") else float(cfg.lm_alpha0)
+
+
 def _initial_point(p: ProblemData, cfg: SolverConfig, delta: float,
                    transformed: bool) -> np.ndarray:
     """x0 from the config, else warm_start FISTA iterations, else zeros."""
@@ -231,6 +202,92 @@ def _check_finite(x: np.ndarray):
         raise DivergenceError("divergence; reduce omega")
 
 
+@dataclass
+class _Point:
+    """An iterate with its forward image Fx (A x, or A N_eps(x~) on the
+    substituted variable) and its functional value f (T, or J_eps)."""
+
+    x: np.ndarray
+    Fx: np.ndarray
+    f: float
+
+
+def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
+             x_true, callback, timer):
+    """The outer loop of every method; returns (x, trace).
+
+    step(n, point) maps the _Point of row n to the next iterate, or to a pair
+    (iterate, functional value) when a line search already evaluated it, or
+    to None when the method cannot move (stop reason "stagnation").  spec is
+    None on the original variable and the transform on the substituted one.
+    Wall times count from after the initial point.
+    """
+    A, y = p.A, p.y_delta
+    x = _initial_point(p, cfg, delta, transformed=spec is not None)
+    image_of = (lambda v: v) if spec is None else (lambda v: back_transform(v, spec))
+    x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
+    trace = IterationTrace(spec=spec)
+    t0 = timer()
+
+    def record(n, x, f):
+        Fx = A.matvec(image_of(x))
+        residual = float(np.linalg.norm(Fx - y))
+        if f is None:
+            f = eval_T(p, x) if spec is None else eval_J(p, x, spec)
+        if x_true is None:
+            rel = float("nan")
+        else:
+            err = np.linalg.norm(image_of(x) - x_true)
+            rel = float(err / x_true_norm) if x_true_norm > 0 else float(err)
+        trace.iterations.append(n)
+        trace.residuals.append(residual)
+        trace.functionals.append(f)
+        trace.rel_errors.append(rel)
+        trace.wall_times.append(timer() - t0)
+        if callback is not None:
+            callback(n, x)
+        return _Point(x, Fx, f), check_discrepancy(residual, cfg.tau, delta)
+
+    point, met = record(0, x, None)
+    reason = STOP_DISCREPANCY if met else STOP_MAX_ITER
+    flat = 0  # consecutive rows with relative functional change < STAGNATION_RTOL
+    for n in range(0 if met else cfg.max_iter):
+        nxt = step(n, point)
+        if nxt is None:
+            reason = STOP_STAGNATION
+            break
+        x, f = nxt if isinstance(nxt, tuple) else (nxt, None)
+        _check_finite(x)
+        prev_f = point.f
+        point, met = record(n + 1, x, f)
+        if met:
+            reason = STOP_DISCREPANCY
+            break
+        if abs(prev_f - point.f) < STAGNATION_RTOL * max(1.0, abs(prev_f)):
+            flat += 1
+        else:
+            flat = 0
+        if flat >= STAGNATION_WINDOW:
+            reason = STOP_STAGNATION
+            break
+    trace.stop_reason = reason
+    trace.n_star = trace.iterations[-1]
+    return point.x, trace
+
+
+def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope: float,
+            t: float, rule: ArmijoRule):
+    """Backtrack from step t along direction until J_eps drops by at least
+    rule.slope * t * slope; returns (iterate, J_eps value), or None."""
+    for _ in range(MAX_BACKTRACKS + 1):
+        candidate = point.x + t * direction
+        f_cand = eval_J(p, candidate, spec)
+        if f_cand <= point.f + rule.slope * t * slope:
+            return candidate, f_cand
+        t *= rule.shrink
+    return None
+
+
 def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
              x_true=None, callback=None, timer=time.perf_counter):
     """Iterative soft thresholding on the original variable."""
@@ -238,114 +295,47 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
     A, y = p.A, p.y_delta
     omega = _resolve_omega(A, cfg)
     threshold = p.alpha * omega
-    x = _initial_point(p, cfg, delta, transformed=False)
-    rec = _Recorder(timer, lambda v: v, x_true, callback)
-    stag = _Stagnation()
-    Ax = A.matvec(x)
-    residual = float(np.linalg.norm(Ax - y))
-    rec.record(0, x, residual, eval_T(p, x))
-    reason = STOP_MAX_ITER
-    if check_discrepancy(residual, cfg.tau, delta):
-        return x, rec.finish(STOP_DISCREPANCY)
-    stag.update(rec.trace.functionals[-1])
-    for n in range(1, cfg.max_iter + 1):
-        x = soft_threshold(x - omega * A.transpose_matvec(Ax - y), threshold)
-        _check_finite(x)
-        Ax = A.matvec(x)
-        residual = float(np.linalg.norm(Ax - y))
-        rec.record(n, x, residual, eval_T(p, x))
-        if check_discrepancy(residual, cfg.tau, delta):
-            reason = STOP_DISCREPANCY
-            break
-        if stag.update(rec.trace.functionals[-1]):
-            reason = STOP_STAGNATION
-            break
-    return x, rec.finish(reason)
+
+    def step(n, it):
+        return soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), threshold)
+
+    return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 
 
 def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
-              variant: str = "nesterov-t", x_true=None, callback=None,
+              variant: str = FISTA_VARIANTS[0], x_true=None, callback=None,
               timer=time.perf_counter):
     """Accelerated soft thresholding.
 
     variant "nesterov-t" uses the t-sequence t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2
     with weight (t_{k-1} - 1)/t_k; variant "beta" uses (k - 1)/(k + beta - 1).
     """
-    if variant not in ("nesterov-t", "beta"):
+    if variant not in FISTA_VARIANTS:
         raise ValueError(f'unknown FISTA variant "{variant}"')
     p = _effective_problem(p, cfg)
     A, y = p.A, p.y_delta
     omega = _resolve_omega(A, cfg)
     threshold = p.alpha * omega
-    x = _initial_point(p, cfg, delta, transformed=False)
-    rec = _Recorder(timer, lambda v: v, x_true, callback)
-    stag = _Stagnation()
-    Ax = A.matvec(x)
-    residual = float(np.linalg.norm(Ax - y))
-    rec.record(0, x, residual, eval_T(p, x))
-    reason = STOP_MAX_ITER
-    if check_discrepancy(residual, cfg.tau, delta):
-        return x, rec.finish(STOP_DISCREPANCY)
-    stag.update(rec.trace.functionals[-1])
-    x_prev, Ax_prev = x, Ax
+    prev = None
     t_prev = 1.0
-    for k in range(1, cfg.max_iter + 1):
+
+    def step(n, it):
+        nonlocal prev, t_prev
+        if prev is None:
+            prev = it
+        k = n + 1
         if variant == "nesterov-t":
             t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
             momentum = (t_prev - 1.0) / t_k
             t_prev = t_k
         else:
             momentum = (k - 1.0) / (k + cfg.beta - 1.0)
-        z = x + momentum * (x - x_prev)
-        Az = Ax + momentum * (Ax - Ax_prev)  # exact by linearity
-        x_next = soft_threshold(z - omega * A.transpose_matvec(Az - y), threshold)
-        _check_finite(x_next)
-        x_prev, Ax_prev = x, Ax
-        x, Ax = x_next, A.matvec(x_next)
-        residual = float(np.linalg.norm(Ax - y))
-        rec.record(k, x, residual, eval_T(p, x))
-        if check_discrepancy(residual, cfg.tau, delta):
-            reason = STOP_DISCREPANCY
-            break
-        if stag.update(rec.trace.functionals[-1]):
-            reason = STOP_STAGNATION
-            break
-    return x, rec.finish(reason)
+        z = it.x + momentum * (it.x - prev.x)
+        Az = it.Fx + momentum * (it.Fx - prev.Fx)  # exact by linearity
+        prev = it
+        return soft_threshold(z - omega * A.transpose_matvec(Az - y), threshold)
 
-
-def run_transformed_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
-                         x_true=None, callback=None, timer=time.perf_counter):
-    """Soft thresholding applied in the substituted variable.
-
-    Update x~ <- S_{alpha omega}(x~ - omega 2 G(x~) A^T(A N(x~) - y)).  Kept
-    as an experimental variant; no convergence guarantee is claimed, and it is
-    excluded from the acceptance comparisons.
-    """
-    p = _effective_problem(p, cfg)
-    A, y = p.A, p.y_delta
-    spec = TransformSpec(0.0)
-    omega = _resolve_omega(A, cfg)
-    threshold = p.alpha * omega
-    x = _initial_point(p, cfg, delta, transformed=True)
-    rec = _Recorder(timer, lambda v: back_transform(v, spec), x_true, callback)
-    stag = _Stagnation()
-    reason = STOP_MAX_ITER
-    for n in range(cfg.max_iter + 1):
-        Fx = A.matvec(back_transform(x, spec))
-        residual = float(np.linalg.norm(Fx - y))
-        rec.record(n, x, residual, eval_J(p, x, spec))
-        if check_discrepancy(residual, cfg.tau, delta):
-            reason = STOP_DISCREPANCY
-            break
-        if n == cfg.max_iter:
-            break
-        if stag.update(rec.trace.functionals[-1]):
-            reason = STOP_STAGNATION
-            break
-        step = gradient_diag(spec, x).apply(A.transpose_matvec(Fx - y))
-        x = soft_threshold(x - omega * 2.0 * step, threshold)
-        _check_finite(x)
-    return x, rec.finish(reason)
+    return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 
 
 def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
@@ -355,51 +345,16 @@ def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
     Runs on J when epsilon == 0 (the default) and on J_eps otherwise.
     """
     p = _effective_problem(p, cfg)
-    eps = resolve_epsilon(cfg, delta, p.y_delta, default=0.0)
-    spec = TransformSpec(eps)
-    x = _initial_point(p, cfg, delta, transformed=True)
-    rec = _Recorder(timer, lambda v: back_transform(v, spec), x_true, callback)
-    stag = _Stagnation()
+    spec = _transform_spec(cfg, delta, p.y_delta, "gd")
 
-    def residual_of(v):
-        return float(np.linalg.norm(p.A.matvec(back_transform(v, spec)) - p.y_delta))
-
-    J = lambda v: eval_J(p, v, spec)
-    fx = J(x)
-    residual = residual_of(x)
-    rec.record(0, x, residual, fx)
-    reason = STOP_MAX_ITER
-    if check_discrepancy(residual, cfg.tau, delta):
-        return x, rec.finish(STOP_DISCREPANCY)
-    stag.update(fx)
-    for n in range(1, cfg.max_iter + 1):
-        g = grad_J(p, x, spec)
+    def step(n, it):
+        g = grad_J(p, it.x, spec)
         g_sq = float(g @ g)
         if np.sqrt(g_sq) <= cfg.grad_tol:
-            reason = STOP_STAGNATION
-            break
-        t = cfg.armijo.t_init
-        accepted = None
-        for _ in range(MAX_BACKTRACKS + 1):
-            candidate = x - t * g
-            f_cand = J(candidate)
-            if f_cand <= fx - cfg.armijo.slope * t * g_sq:
-                accepted = (candidate, f_cand)
-                break
-            t *= cfg.armijo.shrink
-        if accepted is None:
-            reason = STOP_STAGNATION
-            break
-        x, fx = accepted
-        residual = residual_of(x)
-        rec.record(n, x, residual, fx)
-        if check_discrepancy(residual, cfg.tau, delta):
-            reason = STOP_DISCREPANCY
-            break
-        if stag.update(fx):
-            reason = STOP_STAGNATION
-            break
-    return x, rec.finish(reason)
+            return None
+        return _armijo(p, spec, it, -g, -g_sq, cfg.armijo.t_init, cfg.armijo)
+
+    return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
 
 def _solve_normal_step(A, g_diag, rhs, shift, inner_tol):
@@ -426,46 +381,19 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
     """
     p = _effective_problem(p, cfg)
     A, y = p.A, p.y_delta
-    eps = resolve_epsilon(cfg, delta, y, default=0.0)
-    spec = TransformSpec(eps)
-    alpha0 = cfg.lm_alpha0
-    if alpha0 is None or alpha0 == "auto":
-        alpha0 = delta
-    alpha0 = float(alpha0)
-    if alpha0 < 0.0:
-        raise ValueError("lm_alpha0 must be >= 0")
-    x = _initial_point(p, cfg, delta, transformed=True)
-    rec = _Recorder(timer, lambda v: back_transform(v, spec), x_true, callback)
-    stag = _Stagnation()
-    Fx = A.matvec(back_transform(x, spec))
-    residual = float(np.linalg.norm(Fx - y))
-    rec.record(0, x, residual, eval_J(p, x, spec))
-    reason = STOP_MAX_ITER
-    if check_discrepancy(residual, cfg.tau, delta):
-        return x, rec.finish(STOP_DISCREPANCY)
-    stag.update(rec.trace.functionals[-1])
-    for n in range(cfg.max_iter):
+    spec = _transform_spec(cfg, delta, y, "lm")
+    alpha0 = _lm_alpha0(cfg, delta)
+
+    def step(n, it):
         shift = max(alpha0 * cfg.lm_decay ** n, cfg.lm_floor)
-        g_diag = gradient_diag(spec, x).diagonal
-        rhs = g_diag * A.transpose_matvec(y - Fx)
+        g_diag = gradient_diag(spec, it.x)
+        rhs = g_diag * A.transpose_matvec(y - it.Fx)
         s, ok = _solve_normal_step(A, g_diag, rhs, shift, cfg.inner_tol)
         if not ok:
             s, ok = _solve_normal_step(A, g_diag, rhs, 2.0 * shift, cfg.inner_tol)
-        if not ok:
-            reason = STOP_STAGNATION
-            break
-        x = x + s
-        _check_finite(x)
-        Fx = A.matvec(back_transform(x, spec))
-        residual = float(np.linalg.norm(Fx - y))
-        rec.record(n + 1, x, residual, eval_J(p, x, spec))
-        if check_discrepancy(residual, cfg.tau, delta):
-            reason = STOP_DISCREPANCY
-            break
-        if stag.update(rec.trace.functionals[-1]):
-            reason = STOP_STAGNATION
-            break
-    return x, rec.finish(reason)
+        return it.x + s if ok else None
+
+    return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
 
 def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
@@ -479,37 +407,16 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
     backtracking with lambda = 1 tried first.
     """
     p = _effective_problem(p, cfg)
-    A, y = p.A, p.y_delta
-    eps = resolve_epsilon(cfg, delta, y, default="auto")
-    if eps <= 0.0:
+    spec = _transform_spec(cfg, delta, p.y_delta, "newton")
+    if spec.epsilon <= 0.0:
         raise ValueError("run_newton requires epsilon > 0; use run_gradient_descent for J")
-    spec = TransformSpec(eps)
-    alpha0 = cfg.lm_alpha0
-    if alpha0 is None or alpha0 == "auto":
-        alpha0 = delta
-    alpha0 = float(alpha0)
-    x = _initial_point(p, cfg, delta, transformed=True)
-    rec = _Recorder(timer, lambda v: back_transform(v, spec), x_true, callback)
-    stag = _Stagnation()
-    J = lambda v: eval_J(p, v, spec)
+    alpha0 = _lm_alpha0(cfg, delta)
 
-    def residual_of(v):
-        return float(np.linalg.norm(A.matvec(back_transform(v, spec)) - y))
-
-    fx = J(x)
-    residual = residual_of(x)
-    rec.record(0, x, residual, fx)
-    reason = STOP_MAX_ITER
-    if check_discrepancy(residual, cfg.tau, delta):
-        return x, rec.finish(STOP_DISCREPANCY)
-    stag.update(fx)
-    for n in range(cfg.max_iter):
-        g = grad_J(p, x, spec)
+    def step(n, it):
+        g = grad_J(p, it.x, spec)
         if float(np.linalg.norm(g)) <= cfg.grad_tol:
-            reason = STOP_STAGNATION
-            break
-        H = hessian_operator(p, x, spec)
-        s = None
+            return None
+        H = hessian_operator(p, it.x, spec)
         shift = 0.0
         for _ in range(MAX_BACKTRACKS + 1):
             op = H if shift == 0.0 else (lambda w, mu=shift: H(w) + mu * w)
@@ -518,33 +425,48 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
             except CurvatureError:
                 result = None
             if result is not None and result.converged and float(g @ result.x) < 0.0:
-                s = result.x
-                break
+                return _armijo(p, spec, it, result.x, float(g @ result.x), 1.0, cfg.armijo)
             shift = max(alpha0 * cfg.lm_decay ** n, cfg.lm_floor) if shift == 0.0 else 2.0 * shift
-        if s is None:
-            reason = STOP_STAGNATION
-            break
-        slope = float(g @ s)
-        lam = 1.0
-        accepted = None
-        for _ in range(MAX_BACKTRACKS + 1):
-            candidate = x + lam * s
-            f_cand = J(candidate)
-            if f_cand <= fx + cfg.armijo.slope * lam * slope:
-                accepted = (candidate, f_cand)
-                break
-            lam *= cfg.armijo.shrink
-        if accepted is None:
-            reason = STOP_STAGNATION
-            break
-        x, fx = accepted
-        _check_finite(x)
-        residual = residual_of(x)
-        rec.record(n + 1, x, residual, fx)
-        if check_discrepancy(residual, cfg.tau, delta):
-            reason = STOP_DISCREPANCY
-            break
-        if stag.update(fx):
-            reason = STOP_STAGNATION
-            break
-    return x, rec.finish(reason)
+        return None
+
+    return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
+
+
+RUNNERS = {
+    "ista": run_ista,
+    "fista": run_fista,
+    "gd": run_gradient_descent,
+    "lm": run_levenberg_marquardt,
+    "newton": run_newton,
+}
+SOLVER_NAMES = tuple(RUNNERS)
+
+
+def _float_or_auto(text: str):
+    return "auto" if text == "auto" else float(text)
+
+
+# The solver knobs of a config file: key -> (parser, per-method defaults).
+# A key's common default is its SolverConfig field default (ArmijoRule's for
+# armijo_*, FISTA_VARIANTS[0] for variant; alpha unset means the sweep's
+# "auto" weight).  The methods on the substituted variable cannot move from
+# exactly zero (the Jacobian diagonal vanishes there), so they warm start
+# from a few FISTA iterations.
+SOLVER_KNOBS = {
+    "alpha": (_float_or_auto, {}),
+    "epsilon": (_float_or_auto, {"gd": 0.0, "lm": 0.0, "newton": "auto"}),
+    "tau": (float, {}),
+    "omega": (_float_or_auto, {}),
+    "beta": (float, {}),
+    "max_iter": (int, {"ista": 50000, "fista": 20000, "gd": 2000, "lm": 50, "newton": 50}),
+    "inner_tol": (float, {}),
+    "grad_tol": (float, {}),
+    "warm_start": (int, {"gd": 5, "lm": 5, "newton": 5}),
+    "lm_alpha0": (_float_or_auto, {}),
+    "lm_decay": (float, {}),
+    "lm_floor": (float, {}),
+    "armijo_t0": (float, {}),
+    "armijo_shrink": (float, {}),
+    "armijo_slope": (float, {}),
+    "variant": (str, {}),
+}

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DiagonalOperator
-
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -98,23 +96,23 @@ def apply_N_inverse(x) -> np.ndarray:
     return np.sign(x) * np.sqrt(np.abs(x))
 
 
-def gradient_diag(spec: TransformSpec, x) -> DiagonalOperator:
+def gradient_diag(spec: TransformSpec, x) -> np.ndarray:
     """Diagonal of the transform Jacobian at x.
 
     With epsilon == 0 this is 2|x_k| (the exact transform is C^1); with
-    epsilon > 0 every entry is at least eps, so the operator is invertible.
+    epsilon > 0 every entry is at least eps, so the Jacobian is invertible.
     """
     x = np.asarray(x, dtype=np.float64)
     if spec.epsilon == 0.0:
-        return DiagonalOperator(2.0 * np.abs(x))
-    return DiagonalOperator(np.asarray(eta_eps_d1(spec, x)))
+        return 2.0 * np.abs(x)
+    return np.asarray(eta_eps_d1(spec, x))
 
 
-def hessian_diag(spec: TransformSpec, x, w) -> DiagonalOperator:
+def hessian_diag(spec: TransformSpec, x, w) -> np.ndarray:
     """Diagonal of the second-derivative action: entries eta_eps''(x_k) * w_k."""
     _require_smooth(spec, "hessian_diag (exact transform is not twice differentiable)")
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.shape != w.shape:
         raise ValueError(f"x has shape {x.shape} but w has shape {w.shape}")
-    return DiagonalOperator(np.asarray(eta_eps_d2(spec, x)) * w)
+    return np.asarray(eta_eps_d2(spec, x)) * w

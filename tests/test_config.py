@@ -88,6 +88,8 @@ def test_config_error_is_value_error():
     ("noise_levels = 0.1, -0.2\n", r"line 8: noise levels must be >= 0"),
     ("repetitions = -1\n", r"line 8: repetitions must be >= 0"),
     ("noise_levels = 0.1, abc\n", r"noise_levels must be a number, got 'abc'"),
+    ("noise_levels = 0.1, 0.1000000001\n",
+     r"line 8: noise levels 0.1 and 0.1000000001 would write the same files"),
     ("[solver.ista]\nripple = 1\n", r"line 9: unknown key 'ripple' in section \[solver.ista\]"),
     ("[trains]\nspeed = 3\n", r"line 8: unknown section \[trains\]"),
     ("[solver.bfgs]\ntau = 2\n", r"line 8: unknown solver 'bfgs'; available: ista"),

@@ -10,6 +10,7 @@ from sparsenewton.experiment import (
     SCHEMA_LINE,
     SUMMARY_HEADER,
     TRACE_HEADER,
+    _run_cell,
     build_instances,
     make_solver_config,
     noise_seed_for,
@@ -65,6 +66,15 @@ def test_build_instances_shares_the_matrix():
     assert instances[(0, 0)].delta == instances[(0, 1)].delta
     diff = np.linalg.norm(instances[(0, 0)].y_delta - instances[(0, 1)].y_delta)
     assert diff > 0.0
+
+
+@pytest.mark.parametrize("name", ["gd", "lm", "newton"])
+def test_cell_image_is_back_transformed_with_the_run_epsilon(name):
+    instance = build_instances(ExperimentConfig(GEOM, [name], [0.1], 1, 0, "unused", "off"))[(0, 0)]
+    cell = _run_cell(name, {"epsilon": 0.05}, instance, 0.1, 0, "off")
+    assert cell.trace.spec.epsilon == 0.05
+    err = np.linalg.norm(cell.x_image - instance.x_true) / np.linalg.norm(instance.x_true)
+    assert err == cell.trace.rel_errors[-1]
 
 
 def read_rows(path):

@@ -5,12 +5,9 @@ import pytest
 
 from sparsenewton import (
     CurvatureError,
-    DiagonalOperator,
     SparseMatrix,
     as_vector,
     cg_solve,
-    matvec,
-    transpose_matvec,
 )
 
 
@@ -27,12 +24,12 @@ def test_matvec_identity():
 
 def test_matvec_hand_values():
     A = SparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    np.testing.assert_array_equal(matvec(A, np.array([1.0, 1.0])), [3.0, 3.0])
+    np.testing.assert_array_equal(A.matvec(np.array([1.0, 1.0])), [3.0, 3.0])
 
 
 def test_transpose_matvec_hand_values():
     A = SparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    np.testing.assert_array_equal(transpose_matvec(A, np.array([1.0, 1.0])), [1.0, 5.0])
+    np.testing.assert_array_equal(A.transpose_matvec(np.array([1.0, 1.0])), [1.0, 5.0])
     eye5 = SparseMatrix.from_dense(np.eye(5))
     v = np.arange(5.0)
     np.testing.assert_array_equal(eye5.transpose_matvec(v), v)
@@ -78,6 +75,9 @@ def test_from_dense_roundtrip_and_counts():
     assert A.shape == (9, 6)
     assert A.nnz == np.count_nonzero(dense)
     np.testing.assert_array_equal(A.to_dense(), dense)
+    # the public arrays are the ones the products read: the matrix is stored once
+    assert A.row_offsets is A._csr.indptr and A.col_indices is A._csr.indices
+    assert A.values is A._csr.data
 
 
 def test_adjoint_consistency():
@@ -181,11 +181,3 @@ def test_as_vector_rejects_bad_input():
         as_vector([])
     with pytest.raises(ValueError, match="NaN or infinite"):
         as_vector([1.0, np.inf])
-
-
-def test_diagonal_operator():
-    op = DiagonalOperator(np.array([2.0, -1.0]))
-    np.testing.assert_array_equal(op.apply(np.array([3.0, 3.0])), [6.0, -3.0])
-    assert len(op) == 2
-    with pytest.raises(ValueError, match="length 2"):
-        op.apply(np.zeros(3))

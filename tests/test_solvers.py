@@ -11,6 +11,7 @@ from sparsenewton import (
     SparseMatrix,
     TransformSpec,
     apply_N_inverse,
+    back_transform,
     check_discrepancy,
     eta_eps,
     run_fista,
@@ -18,10 +19,9 @@ from sparsenewton import (
     run_ista,
     run_levenberg_marquardt,
     run_newton,
-    run_transformed_ista,
     soft_threshold,
 )
-from sparsenewton.solvers import resolve_epsilon
+from sparsenewton.solvers import RUNNERS, resolve_epsilon
 
 ONE_BY_ONE = SparseMatrix.from_dense(np.array([[1.0]]))
 
@@ -316,13 +316,27 @@ def test_warm_start_is_inverse_transformed_sketch():
     np.testing.assert_array_equal(x, apply_N_inverse(x_sketch))
 
 
-def test_transformed_ista_reduces_residual():
+@pytest.mark.parametrize("name", list(RUNNERS))
+def test_driver_contract(name):
     rng = np.random.default_rng(12)
-    A, y, _ = conditioned_instance(rng)
-    p = ProblemData(A, y, 0.05)
-    _, trace = run_transformed_ista(p, SolverConfig(warm_start=3, max_iter=50), 0.0)
-    assert trace.residuals[-1] < trace.residuals[0]
-    assert trace.stop_reason in ("max_iter", "stagnation")
+    A, y, delta = conditioned_instance(rng, noise=0.05)
+    p = ProblemData(A, y, 0.02)
+    x0 = 0.3 * rng.standard_normal(20)
+    run = RUNNERS[name]
+    seen = []
+    x, trace = run(p, SolverConfig(x0=x0), delta, callback=lambda n, v: seen.append(v))
+    # row 0 is the initial point, rows are numbered consecutively
+    np.testing.assert_array_equal(seen[0], x0)
+    np.testing.assert_array_equal(seen[-1], x)
+    image = x0 if trace.spec is None else back_transform(x0, trace.spec)
+    assert trace.residuals[0] == np.linalg.norm(A.matvec(image) - y)
+    assert trace.iterations == list(range(trace.n_star + 1)) and len(seen) == trace.n_star + 1
+    # the run stops at the first row that meets the discrepancy principle
+    assert trace.stop_reason == "discrepancy"
+    met = [r <= 1.1 * delta for r in trace.residuals]
+    assert met.index(True) == trace.n_star
+    _, trace = run(p, SolverConfig(x0=x0, max_iter=0), delta)
+    assert trace.n_star == 0 and trace.stop_reason == "max_iter"
 
 
 def test_resolve_epsilon_rules():
@@ -347,6 +361,8 @@ def test_solver_config_validation():
         SolverConfig(lm_decay=1.0)
     with pytest.raises(ValueError, match="lm_floor"):
         SolverConfig(lm_floor=0.0)
+    with pytest.raises(ValueError, match="lm_alpha0"):
+        SolverConfig(lm_alpha0=-1.0)
     with pytest.raises(ValueError, match="warm_start"):
         SolverConfig(warm_start=-1)
     with pytest.raises(ValueError, match="omega"):
