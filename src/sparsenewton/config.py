@@ -36,6 +36,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A sweep; raises ValueError for a negative noise level or for two that
+    print alike under :g, since output file names carry the level that way."""
+
     geometry: TomoGeometry
     solvers: list
     noise_levels: list = field(default_factory=lambda: [0.1])
@@ -44,6 +47,17 @@ class ExperimentConfig:
     out: str = "results"
     timing: str = "wall"
     solver_overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        stems = {}
+        for level in self.noise_levels:
+            if level < 0.0:
+                raise ValueError("noise levels must be >= 0")
+            stem = f"{level:g}"  # how output file names carry the level
+            if stem in stems:
+                raise ValueError(f"noise levels {stems[stem]!r} and {level!r} would write "
+                                 f"the same files (both print as {stem})")
+            stems[stem] = level
 
 
 def _parse(parse, text, line_no, key):
@@ -153,15 +167,6 @@ def parse_config(path) -> ExperimentConfig:
                 f"available: {', '.join(SOLVER_NAMES)}"
             )
     noise_levels, noise_line = take("experiment", "noise_levels", [0.1])
-    stems = {}
-    for level in noise_levels:
-        if level < 0.0:
-            raise ConfigError(f"line {noise_line}: noise levels must be >= 0")
-        stem = f"{level:g}"  # how output file names carry the level
-        if stem in stems:
-            raise ConfigError(f"line {noise_line}: noise levels {stems[stem]!r} and "
-                              f"{level!r} would write the same files (both print as {stem})")
-        stems[stem] = level
     repetitions, rep_line = take("experiment", "repetitions", 1)
     if repetitions < 0:
         raise ConfigError(f"line {rep_line}: repetitions must be >= 0")
@@ -183,5 +188,8 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: variant must be {choices}, got '{value}'")
         overrides.setdefault(name, {})[key] = value
 
-    return ExperimentConfig(geometry, solvers, noise_levels, repetitions,
-                            seed, out, timing, overrides)
+    try:
+        return ExperimentConfig(geometry, solvers, noise_levels, repetitions,
+                                seed, out, timing, overrides)
+    except ValueError as exc:  # only the noise levels are checked there
+        raise ConfigError(f"line {noise_line}: {exc}") from None

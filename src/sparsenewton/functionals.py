@@ -46,40 +46,59 @@ def _transformed(spec: TransformSpec, x) -> np.ndarray:
     return apply_N_eps(spec, x) if spec.epsilon > 0.0 else apply_N(x)
 
 
-def eval_T(p: ProblemData, x) -> float:
-    """Original l1-Tikhonov value at x."""
+def eval_T(p: ProblemData, x, Fx=None) -> float:
+    """Original l1-Tikhonov value at x; Fx is A x when the caller has it."""
     x = np.asarray(x, dtype=np.float64)
-    r = p.A.matvec(x) - p.y_delta
+    if Fx is None:
+        Fx = p.A.matvec(x)
+    r = Fx - p.y_delta
     return float(r @ r + p.alpha * np.sum(np.abs(x)))
 
 
-def eval_J(p: ProblemData, x, spec: TransformSpec) -> float:
-    """Substituted-functional value at x (exact when spec.epsilon == 0)."""
+def eval_J(p: ProblemData, x, spec: TransformSpec, Fx=None) -> float:
+    """Substituted-functional value at x (exact when spec.epsilon == 0); Fx is
+    the forward image A N(x) when the caller has it."""
     x = np.asarray(x, dtype=np.float64)
-    r = p.A.matvec(_transformed(spec, x)) - p.y_delta
+    if Fx is None:
+        Fx = p.A.matvec(_transformed(spec, x))
+    r = Fx - p.y_delta
     return float(r @ r + p.alpha * (x @ x))
 
 
-def grad_J(p: ProblemData, x, spec: TransformSpec) -> np.ndarray:
-    """Gradient 2 G(x) A^T (A N(x) - y) + 2 alpha x with G the Jacobian diagonal."""
+def _adjoint_residual(p: ProblemData, x, spec: TransformSpec, Fx, atr) -> np.ndarray:
+    """A^T (A N(x) - y): atr itself when given, else from the image Fx, which
+    is computed when not given either."""
+    if atr is not None:
+        return atr
+    if Fx is None:
+        Fx = p.A.matvec(_transformed(spec, x))
+    return p.A.transpose_matvec(Fx - p.y_delta)
+
+
+def grad_J(p: ProblemData, x, spec: TransformSpec, Fx=None, *, atr=None) -> np.ndarray:
+    """Gradient 2 G(x) A^T (A N(x) - y) + 2 alpha x with G the Jacobian diagonal.
+
+    Fx (the image A N(x)) or atr (A^T (A N(x) - y)) spare the products the
+    caller has already made.
+    """
     x = np.asarray(x, dtype=np.float64)
-    r = p.A.matvec(_transformed(spec, x)) - p.y_delta
-    atr = p.A.transpose_matvec(r)
+    atr = _adjoint_residual(p, x, spec, Fx, atr)
     return 2.0 * (gradient_diag(spec, x) * atr) + 2.0 * p.alpha * x
 
 
-def hessian_operator(p: ProblemData, x, spec: TransformSpec) -> Callable[[np.ndarray], np.ndarray]:
+def hessian_operator(p: ProblemData, x, spec: TransformSpec, Fx=None, *,
+                     atr=None) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free Hessian of J_eps at x; requires spec.epsilon > 0.
 
     Returns w -> 2 H(x, A^T r) w + 2 G A^T A G w + 2 alpha w, with the
-    residual term A^T r precomputed once.  The Hessian is only ever exposed
-    through this action; it is never assembled.
+    residual term A^T r precomputed once (or taken from Fx or atr as in
+    grad_J).  The Hessian is only ever exposed through this action; it is
+    never assembled.
     """
     if spec.epsilon <= 0.0:
         raise ValueError("exact transform is not twice differentiable; epsilon > 0 required")
     x = np.asarray(x, dtype=np.float64)
-    r = p.A.matvec(apply_N_eps(spec, x)) - p.y_delta
-    atr = p.A.transpose_matvec(r)
+    atr = _adjoint_residual(p, x, spec, Fx, atr)
     curvature = hessian_diag(spec, x, atr)
     g = gradient_diag(spec, x)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsenewton import ExperimentConfig, TomoGeometry, run_experiment
+from sparsenewton import ExperimentConfig, TomoGeometry, parse_config, run_experiment
 from sparsenewton.experiment import (
     SCHEMA_LINE,
     SUMMARY_HEADER,
@@ -26,7 +26,7 @@ def test_resolve_alpha():
     assert resolve_alpha("auto", 0.0, np.full(4, 2.0)) == pytest.approx(4e-8)
 
 
-def test_make_solver_config_defaults():
+def test_make_solver_config_defaults(tmp_path):
     y = np.full(4, 2.0)
     cfg, variant = make_solver_config("newton", {}, 1.0, y)
     assert variant == "nesterov-t"
@@ -43,6 +43,17 @@ def test_make_solver_config_defaults():
         "fista", {"variant": "beta", "max_iter": 7}, 1.0, y)
     assert variant == "beta"
     assert cfg.max_iter == 7
+    # inexact inner solves by default, exact ones when asked for
+    inner_tols = {name: make_solver_config(name, {}, 1.0, y)[0].inner_tol
+                  for name in ("ista", "fista", "gd", "lm", "newton")}
+    assert inner_tols == {"ista": 1e-10, "fista": 1e-10, "gd": 1e-10,
+                          "lm": 1e-2, "newton": 0.2}
+    path = tmp_path / "exact.cfg"
+    path.write_text("[geometry]\nm = 12\nn_angles = 6\nn_beams = 14\n"
+                    "[experiment]\nsolvers = newton\n"
+                    "[solver.newton]\ninner_tol = 1e-10\n")
+    overrides = parse_config(path).solver_overrides["newton"]
+    assert make_solver_config("newton", overrides, 1.0, y)[0].inner_tol == 1e-10
 
 
 def test_make_solver_config_unknown_name():
@@ -119,6 +130,14 @@ def test_timing_off_is_reproducible(tmp_path):
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
     for name in ("trace_ista_0.1_0.csv", "trace_newton_0.1_0.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_colliding_noise_levels_raise_before_any_file_is_written(tmp_path):
+    out = tmp_path / "collide"
+    with pytest.raises(ValueError, match="0.1 and 0.1000000001 would write the same files"):
+        run_experiment(ExperimentConfig(GEOM, ["fista"], [0.1, 0.1000000001], 1, 0,
+                                        str(out), "off"))
+    assert not out.exists()
 
 
 def test_zero_repetitions_yields_empty_summary(tmp_path):

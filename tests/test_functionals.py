@@ -184,3 +184,24 @@ def test_back_transform():
     spec = TransformSpec(0.4)
     x = np.array([0.1, -2.0, 0.0])
     np.testing.assert_array_equal(back_transform(x, spec), apply_N_eps(spec, x))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_precomputed_image_gives_identical_results(eps):
+    rng = np.random.default_rng(11)
+    p = random_problem(rng)
+    spec = TransformSpec(eps)
+    x = rng.standard_normal(10)
+    w = rng.standard_normal(10)
+    Ax = p.A.matvec(x)
+    image = p.A.matvec(back_transform(x, spec))
+    atr = p.A.transpose_matvec(image - p.y_delta)
+    assert eval_T(p, x, Ax) == eval_T(p, x)
+    assert eval_J(p, x, spec, image) == eval_J(p, x, spec)
+    g = grad_J(p, x, spec)
+    np.testing.assert_array_equal(grad_J(p, x, spec, image), g)
+    np.testing.assert_array_equal(grad_J(p, x, spec, atr=atr), g)
+    if eps > 0.0:
+        hw = hessian_operator(p, x, spec)(w)
+        np.testing.assert_array_equal(hessian_operator(p, x, spec, image)(w), hw)
+        np.testing.assert_array_equal(hessian_operator(p, x, spec, atr=atr)(w), hw)

@@ -1,5 +1,7 @@
 """Solver runners: updates, stopping rules, traces and small closed-form oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,31 @@ def conditioned_instance(rng, n=20, nnz=5, noise=0.0):
 
 def zero_operator(n):
     return SparseMatrix(n, n, np.zeros(n + 1, dtype=int), [], [])
+
+
+class ProductLog:
+    """Counts the A and A^T products made while it is installed, and how often
+    each vector went through A."""
+
+    def __init__(self, monkeypatch):
+        self.inputs = Counter()
+        self.transposes = 0
+        matvec, transpose_matvec = SparseMatrix.matvec, SparseMatrix.transpose_matvec
+
+        def counted_matvec(A, x):
+            self.inputs[np.asarray(x, dtype=np.float64).tobytes()] += 1
+            return matvec(A, x)
+
+        def counted_transpose_matvec(A, r):
+            self.transposes += 1
+            return transpose_matvec(A, r)
+
+        monkeypatch.setattr(SparseMatrix, "matvec", counted_matvec)
+        monkeypatch.setattr(SparseMatrix, "transpose_matvec", counted_transpose_matvec)
+
+    @property
+    def products(self):
+        return sum(self.inputs.values()) + self.transposes
 
 
 def assert_trace_consistent(trace, tau, delta):
@@ -337,6 +364,33 @@ def test_driver_contract(name):
     assert met.index(True) == trace.n_star
     _, trace = run(p, SolverConfig(x0=x0, max_iter=0), delta)
     assert trace.n_star == 0 and trace.stop_reason == "max_iter"
+
+
+@pytest.mark.parametrize("name", ["ista", "fista"])
+def test_cold_start_shrinkage_makes_two_products_per_step(name, monkeypatch):
+    rng = np.random.default_rng(13)
+    A, y, delta = conditioned_instance(rng, noise=0.01)
+    p = ProblemData(A, y, 0.002)
+    log = ProductLog(monkeypatch)
+    _, trace = RUNNERS[name](p, SolverConfig(omega=0.2), delta)
+    assert trace.n_star >= 5
+    # one A product per row, one A^T product per step
+    assert log.products == 2 * trace.n_star + 1
+
+
+@pytest.mark.parametrize("name", ["gd", "lm", "newton"])
+def test_each_iterate_image_is_computed_once(name, monkeypatch):
+    rng = np.random.default_rng(14)
+    A, y, delta = conditioned_instance(rng, noise=0.01)
+    p = ProblemData(A, y, 0.002)
+    x0 = 0.3 * rng.standard_normal(20)
+    rows = []
+    log = ProductLog(monkeypatch)
+    _, trace = RUNNERS[name](p, SolverConfig(x0=x0), delta,
+                             callback=lambda n, v: rows.append(v))
+    assert len(rows) >= 3
+    for v in rows:
+        assert log.inputs[back_transform(v, trace.spec).tobytes()] == 1
 
 
 def test_resolve_epsilon_rules():
