@@ -14,7 +14,6 @@ from .functionals import (
     eval_J,
     eval_T,
     grad_J,
-    hess_J_eps_matvec,
     hessian_operator,
 )
 from .linalg import (
@@ -25,7 +24,6 @@ from .linalg import (
     cg_solve,
 )
 from .solvers import (
-    ArmijoRule,
     DivergenceError,
     IterationTrace,
     SolverConfig,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import selfcheck
@@ -54,18 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, restrict_solver=None, restrict_noise=None):
+    """The parsed config with the flags applied; the flags go through the
+    same ExperimentConfig checks as the file."""
     config = parse_config(args.config)
-    if args.out is not None:
-        config.out = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-    if restrict_solver is not None:
-        config.solvers = [restrict_solver]
-    if restrict_noise is not None:
-        config.noise_levels = [restrict_noise]
-    if getattr(args, "timing", None):
-        config.timing = args.timing
-    return config
+    changes = {"out": args.out, "seed": args.seed, "timing": getattr(args, "timing", None),
+               "solvers": None if restrict_solver is None else [restrict_solver],
+               "noise_levels": None if restrict_noise is None else [restrict_noise]}
+    try:
+        return replace(config, **{key: value for key, value in changes.items()
+                                  if value is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_generate(args) -> int:

@@ -3,7 +3,8 @@
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comment lines
 (whole-line only), UTF-8.  Sections are ``[geometry]``, ``[experiment]`` and
 one optional ``[solver.<name>]`` per solver.  Unknown sections or keys,
-duplicate keys and malformed values are hard errors that cite line numbers.
+duplicate keys and malformed or out-of-range values are hard errors that cite
+line numbers.
 
 Minimal valid file::
 
@@ -21,10 +22,11 @@ seed = 0, out = results, timing = wall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from .solvers import FISTA_VARIANTS, SOLVER_KNOBS, SOLVER_NAMES
+from .solvers import SOLVER_KNOBS, SOLVER_NAMES, SolverConfig
 from .tomo import TomoGeometry
 
 _TIMING_MODES = ("wall", "off")
@@ -36,8 +38,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """A sweep; raises ValueError for a negative noise level or for two that
-    print alike under :g, since output file names carry the level that way."""
+    """A sweep; raises ValueError for a negative or non-finite noise level or
+    for two that print alike under :g, since output file names carry the level
+    that way."""
 
     geometry: TomoGeometry
     solvers: list
@@ -51,8 +54,8 @@ class ExperimentConfig:
     def __post_init__(self):
         stems = {}
         for level in self.noise_levels:
-            if level < 0.0:
-                raise ValueError("noise levels must be >= 0")
+            if not 0.0 <= level < math.inf:
+                raise ValueError(f"noise levels must be >= 0 and finite, got {level!r}")
             stem = f"{level:g}"  # how output file names carry the level
             if stem in stems:
                 raise ValueError(f"noise levels {stems[stem]!r} and {level!r} would write "
@@ -87,6 +90,15 @@ _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_lis
                     "repetitions": partial(_parse, int), "seed": partial(_parse, int),
                     "out": partial(_parse, str), "timing": partial(_parse, str)}
 _SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, _) in SOLVER_KNOBS.items()}
+
+
+def _check_solver_knob(key, value):
+    """Raise ValueError when a solver knob's value is out of range; every key
+    but alpha is checked by SolverConfig itself."""
+    if key != "alpha":
+        SolverConfig(**{key: value})
+    elif value != "auto" and not 0.0 < value < math.inf:
+        raise ValueError('alpha must be "auto" or a finite number > 0')
 
 
 def _section_schema(section, line_no):
@@ -180,13 +192,11 @@ def parse_config(path) -> ExperimentConfig:
 
     overrides = {}
     for (sec, key), (value, line_no) in entries.items():
-        name = sec[len("solver."):]
-        if key == "tau" and value <= 1.0:
-            raise ConfigError(f"line {line_no}: tau must exceed 1")
-        if key == "variant" and value not in FISTA_VARIANTS:
-            choices = " or ".join(f"'{v}'" for v in FISTA_VARIANTS)
-            raise ConfigError(f"line {line_no}: variant must be {choices}, got '{value}'")
-        overrides.setdefault(name, {})[key] = value
+        try:
+            _check_solver_knob(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+        overrides.setdefault(sec[len("solver."):], {})[key] = value
 
     try:
         return ExperimentConfig(geometry, solvers, noise_levels, repetitions,

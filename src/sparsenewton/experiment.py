@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .functionals import ProblemData, back_transform
-from .solvers import FISTA_VARIANTS, RUNNERS, SOLVER_KNOBS, SOLVER_NAMES, ArmijoRule, SolverConfig
+from .solvers import RUNNERS, SOLVER_KNOBS, SOLVER_NAMES, SolverConfig
 from .tomo import NoiseModel, ProblemInstance, add_noise, build_parallel_tomo, shepp_logan, write_pgm
 
 SCHEMA_LINE = "# schema=1"
@@ -35,9 +35,6 @@ TRACE_HEADER = "iter,residual,functional,rel_error,wall_s"
 # Calibrated at desk scale so every method reaches the discrepancy stop;
 # when delta == 0 the weight falls back to a fraction of ||y_delta||.
 ALPHA_COEFF = 0.01
-
-# Config keys of the ArmijoRule fields.
-_ARMIJO_KEYS = {"armijo_t0": "t_init", "armijo_shrink": "shrink", "armijo_slope": "slope"}
 
 
 def resolve_alpha(value, delta: float, y_delta) -> float:
@@ -51,23 +48,17 @@ def resolve_alpha(value, delta: float, y_delta) -> float:
 
 
 def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
-    """SolverConfig for one sweep cell; returns (config, fista_variant)."""
+    """Knobs for one sweep cell; returns (SolverConfig, regularization weight)."""
     if name not in RUNNERS:
         raise ValueError(f"unknown solver '{name}'; available: {', '.join(SOLVER_NAMES)}")
     opts = {key: methods[name] for key, (_, methods) in SOLVER_KNOBS.items() if name in methods}
     opts.update(overrides)
-    variant = opts.pop("variant", FISTA_VARIANTS[0])
-    armijo = ArmijoRule(**{attr: opts.pop(key) for key, attr in _ARMIJO_KEYS.items()
-                           if key in opts})
     alpha = resolve_alpha(opts.pop("alpha", None), delta, y_delta)
-    return SolverConfig(alpha=alpha, armijo=armijo, **opts), variant
+    return SolverConfig(**opts), alpha
 
 
-def run_solver(name: str, p: ProblemData, cfg: SolverConfig, delta: float, variant: str,
-               **kwargs):
-    """Run the named method; variant is FISTA's momentum rule."""
-    if name == "fista":
-        kwargs["variant"] = variant
+def run_solver(name: str, p: ProblemData, cfg: SolverConfig, delta: float, **kwargs):
+    """Run the named method."""
     return RUNNERS[name](p, cfg, delta, **kwargs)
 
 
@@ -91,10 +82,9 @@ class CellResult:
 def _run_cell(name, overrides, instance: ProblemInstance, noise_rel, rep, timing):
     timer = time.perf_counter if timing == "wall" else (lambda: 0.0)
     try:
-        cfg, variant = make_solver_config(name, overrides, instance.delta, instance.y_delta)
-        p = ProblemData(instance.A, instance.y_delta, cfg.alpha)
-        x, trace = run_solver(name, p, cfg, instance.delta, variant=variant,
-                              x_true=instance.x_true, timer=timer)
+        cfg, alpha = make_solver_config(name, overrides, instance.delta, instance.y_delta)
+        p = ProblemData(instance.A, instance.y_delta, alpha)
+        x, trace = run_solver(name, p, cfg, instance.delta, x_true=instance.x_true, timer=timer)
     except Exception as exc:  # errored runs still get a summary row
         return CellResult(name, noise_rel, rep, None, None, f"{type(exc).__name__}: {exc}")
     image = x if trace.spec is None else back_transform(x, trace.spec)

@@ -65,40 +65,36 @@ def eval_J(p: ProblemData, x, spec: TransformSpec, Fx=None) -> float:
     return float(r @ r + p.alpha * (x @ x))
 
 
-def _adjoint_residual(p: ProblemData, x, spec: TransformSpec, Fx, atr) -> np.ndarray:
-    """A^T (A N(x) - y): atr itself when given, else from the image Fx, which
-    is computed when not given either."""
+def _adjoint_residual(p: ProblemData, x, spec: TransformSpec, atr) -> np.ndarray:
+    """A^T (A N(x) - y): atr itself when given, else computed."""
     if atr is not None:
         return atr
-    if Fx is None:
-        Fx = p.A.matvec(_transformed(spec, x))
-    return p.A.transpose_matvec(Fx - p.y_delta)
+    return p.A.transpose_matvec(p.A.matvec(_transformed(spec, x)) - p.y_delta)
 
 
-def grad_J(p: ProblemData, x, spec: TransformSpec, Fx=None, *, atr=None) -> np.ndarray:
+def grad_J(p: ProblemData, x, spec: TransformSpec, *, atr=None) -> np.ndarray:
     """Gradient 2 G(x) A^T (A N(x) - y) + 2 alpha x with G the Jacobian diagonal.
 
-    Fx (the image A N(x)) or atr (A^T (A N(x) - y)) spare the products the
-    caller has already made.
+    atr (A^T (A N(x) - y)) spares the products the caller has already made.
     """
     x = np.asarray(x, dtype=np.float64)
-    atr = _adjoint_residual(p, x, spec, Fx, atr)
+    atr = _adjoint_residual(p, x, spec, atr)
     return 2.0 * (gradient_diag(spec, x) * atr) + 2.0 * p.alpha * x
 
 
-def hessian_operator(p: ProblemData, x, spec: TransformSpec, Fx=None, *,
+def hessian_operator(p: ProblemData, x, spec: TransformSpec, *,
                      atr=None) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free Hessian of J_eps at x; requires spec.epsilon > 0.
 
     Returns w -> 2 H(x, A^T r) w + 2 G A^T A G w + 2 alpha w, with the
-    residual term A^T r precomputed once (or taken from Fx or atr as in
-    grad_J).  The Hessian is only ever exposed through this action; it is
-    never assembled.
+    residual term A^T r precomputed once (or taken from atr as in grad_J).
+    The Hessian is only ever exposed through this action; it is never
+    assembled.
     """
     if spec.epsilon <= 0.0:
         raise ValueError("exact transform is not twice differentiable; epsilon > 0 required")
     x = np.asarray(x, dtype=np.float64)
-    atr = _adjoint_residual(p, x, spec, Fx, atr)
+    atr = _adjoint_residual(p, x, spec, atr)
     curvature = hessian_diag(spec, x, atr)
     g = gradient_diag(spec, x)
 
@@ -109,11 +105,6 @@ def hessian_operator(p: ProblemData, x, spec: TransformSpec, Fx=None, *,
             + 2.0 * p.alpha * w
 
     return apply_hessian
-
-
-def hess_J_eps_matvec(p: ProblemData, x, spec: TransformSpec, w) -> np.ndarray:
-    """One Hessian-vector product; see :func:`hessian_operator`."""
-    return hessian_operator(p, x, spec)(w)
 
 
 def back_transform(x_tilde, spec: TransformSpec) -> np.ndarray:

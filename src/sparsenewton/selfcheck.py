@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import ProblemData, eval_J, grad_J, hess_J_eps_matvec
+from .functionals import ProblemData, eval_J, grad_J, hessian_operator
 from .linalg import SparseMatrix, cg_solve
 from .solvers import SolverConfig, run_ista, soft_threshold
 from .tomo import TomoGeometry, build_parallel_tomo, shepp_logan
@@ -88,7 +88,7 @@ def check_hessian(rng):
     w = rng.standard_normal(12)
     h = 1e-5
     fd = (grad_J(p, x + h * w, spec) - grad_J(p, x - h * w, spec)) / (2 * h)
-    hw = hess_J_eps_matvec(p, x, spec, w)
+    hw = hessian_operator(p, x, spec)(w)
     err = np.linalg.norm(fd - hw) / np.linalg.norm(hw)
     return err <= 1e-4, f"Hessian FD rel err {err:.2e}"
 

@@ -37,12 +37,12 @@ from .transform import TransformSpec, apply_N_inverse, gradient_diag
 STAGNATION_RTOL = 1e-14
 STAGNATION_WINDOW = 10
 MAX_BACKTRACKS = 60
+ARMIJO_SHRINK = 0.5  # backtracking accepts t = ARMIJO_SHRINK^m, m = 0, 1, ...
+ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the directional derivative
 
 STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITER = "max_iter"
 STOP_STAGNATION = "stagnation"
-
-FISTA_VARIANTS = ("nesterov-t", "beta")  # the first is the default
 
 
 class DivergenceError(RuntimeError):
@@ -50,41 +50,21 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class ArmijoRule:
-    """Backtracking parameters: accept t = t_init * shrink^m."""
-
-    t_init: float = 1.0
-    shrink: float = 0.5
-    slope: float = 1e-4
-
-    def __post_init__(self):
-        if self.t_init <= 0.0:
-            raise ValueError("armijo t_init must be > 0")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("armijo shrink must lie in (0, 1)")
-        if not 0.0 < self.slope < 1.0:
-            raise ValueError("armijo slope must lie in (0, 1)")
-
-
-@dataclass
 class SolverConfig:
     """Knobs shared by all runners; unknown to a given method = ignored by it.
 
     The field defaults are the common defaults of the solver knobs; the
-    per-method ones are in SOLVER_KNOBS.  alpha overrides the ProblemData
-    weight when set.  epsilon semantics: None picks the method's default from
+    per-method ones are in SOLVER_KNOBS.  The regularization weight is
+    ProblemData.alpha.  epsilon semantics: None picks the method's default from
     SOLVER_KNOBS; "auto" resolves to 1e-4 * delta, falling back to
     1e-8 * ||y_delta|| when delta == 0.  omega "auto" is 0.9 / ||A||_2^2 with
     the norm estimated by 100 power iterations.  lm_alpha0 None or "auto"
     resolves to delta, giving the shift schedule alpha_n = delta * lm_decay^n.
     """
 
-    alpha: Optional[float] = None
     epsilon: object = None
     tau: float = 1.1
     omega: object = "auto"
-    beta: float = 3.0
-    armijo: ArmijoRule = field(default_factory=ArmijoRule)
     lm_alpha0: object = None
     lm_decay: float = 0.6
     lm_floor: float = 1e-14
@@ -95,12 +75,10 @@ class SolverConfig:
     warm_start: int = 0
 
     def __post_init__(self):
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ValueError("alpha must be > 0")
+        if self.epsilon not in (None, "auto") and self.epsilon < 0.0:
+            raise ValueError("epsilon must be >= 0")
         if self.tau <= 1.0:
             raise ValueError("tau must exceed 1")
-        if self.beta < 3.0:
-            raise ValueError("beta must be >= 3")
         if self.lm_alpha0 not in (None, "auto") and self.lm_alpha0 < 0.0:
             raise ValueError("lm_alpha0 must be >= 0")
         if not 0.0 < self.lm_decay < 1.0:
@@ -146,12 +124,6 @@ def check_discrepancy(residual_norm: float, tau: float, delta: float) -> bool:
     return residual_norm <= tau * delta
 
 
-def _effective_problem(p: ProblemData, cfg: SolverConfig) -> ProblemData:
-    if cfg.alpha is None or cfg.alpha == p.alpha:
-        return p
-    return ProblemData(p.A, p.y_delta, cfg.alpha)
-
-
 def _resolve_omega(A, cfg: SolverConfig) -> float:
     if cfg.omega == "auto":
         sigma = A.norm2_estimate()
@@ -167,10 +139,7 @@ def resolve_epsilon(cfg: SolverConfig, delta: float, y_delta, default) -> float:
         if delta > 0.0:
             return 1e-4 * delta
         return 1e-8 * float(np.linalg.norm(y_delta))
-    eps = float(eps)
-    if eps < 0.0:
-        raise ValueError("epsilon must be >= 0")
-    return eps
+    return float(eps)
 
 
 def _transform_spec(cfg: SolverConfig, delta: float, y_delta, method: str) -> TransformSpec:
@@ -279,24 +248,23 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     return point.x, trace
 
 
-def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope: float,
-            t: float, rule: ArmijoRule):
-    """Backtrack from step t along direction until J_eps drops by at least
-    rule.slope * t * slope; returns the accepted _Point, or None."""
+def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope: float):
+    """Backtrack from step t = 1 along direction until J_eps drops by at least
+    ARMIJO_SLOPE * t * slope; returns the accepted _Point, or None."""
+    t = 1.0
     for _ in range(MAX_BACKTRACKS + 1):
         candidate = point.x + t * direction
         F_cand = p.A.matvec(back_transform(candidate, spec))
         f_cand = eval_J(p, candidate, spec, F_cand)
-        if f_cand <= point.f + rule.slope * t * slope:
+        if f_cand <= point.f + ARMIJO_SLOPE * t * slope:
             return _Point(candidate, F_cand, f_cand)
-        t *= rule.shrink
+        t *= ARMIJO_SHRINK
     return None
 
 
 def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
              x_true=None, callback=None, timer=time.perf_counter):
     """Iterative soft thresholding on the original variable."""
-    p = _effective_problem(p, cfg)
     A, y = p.A, p.y_delta
     omega = _resolve_omega(A, cfg)
     threshold = p.alpha * omega
@@ -308,16 +276,10 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
 
 
 def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
-              variant: str = FISTA_VARIANTS[0], x_true=None, callback=None,
-              timer=time.perf_counter):
-    """Accelerated soft thresholding.
-
-    variant "nesterov-t" uses the t-sequence t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2
-    with weight (t_{k-1} - 1)/t_k; variant "beta" uses (k - 1)/(k + beta - 1).
+              x_true=None, callback=None, timer=time.perf_counter):
+    """Accelerated soft thresholding with Beck and Teboulle's t-sequence
+    t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2 and momentum weight (t_{k-1} - 1)/t_k.
     """
-    if variant not in FISTA_VARIANTS:
-        raise ValueError(f'unknown FISTA variant "{variant}"')
-    p = _effective_problem(p, cfg)
     A, y = p.A, p.y_delta
     omega = _resolve_omega(A, cfg)
     threshold = p.alpha * omega
@@ -328,13 +290,9 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
         nonlocal prev, t_prev
         if prev is None:
             prev = it
-        k = n + 1
-        if variant == "nesterov-t":
-            t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
-            momentum = (t_prev - 1.0) / t_k
-            t_prev = t_k
-        else:
-            momentum = (k - 1.0) / (k + cfg.beta - 1.0)
+        t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
+        momentum = (t_prev - 1.0) / t_k
+        t_prev = t_k
         z = it.x + momentum * (it.x - prev.x)
         Az = it.Fx + momentum * (it.Fx - prev.Fx)  # exact by linearity
         prev = it
@@ -349,15 +307,15 @@ def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
 
     Runs on J when epsilon == 0 (the default) and on J_eps otherwise.
     """
-    p = _effective_problem(p, cfg)
-    spec = _transform_spec(cfg, delta, p.y_delta, "gd")
+    A, y = p.A, p.y_delta
+    spec = _transform_spec(cfg, delta, y, "gd")
 
     def step(n, it):
-        g = grad_J(p, it.x, spec, it.Fx)
+        g = grad_J(p, it.x, spec, atr=A.transpose_matvec(it.Fx - y))
         g_sq = float(g @ g)
         if np.sqrt(g_sq) <= cfg.grad_tol:
             return None
-        return _armijo(p, spec, it, -g, -g_sq, cfg.armijo.t_init, cfg.armijo)
+        return _armijo(p, spec, it, -g, -g_sq)
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
@@ -387,7 +345,6 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
     second failure stops with reason "stagnation".  alpha_0 defaults to delta
     and the shift never drops below lm_floor.
     """
-    p = _effective_problem(p, cfg)
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "lm")
     alpha0 = _lm_alpha0(cfg, delta)
@@ -417,7 +374,6 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
     failure stops with reason "stagnation".  Steps are damped by Armijo
     backtracking with lambda = 1 tried first.
     """
-    p = _effective_problem(p, cfg)
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "newton")
     if spec.epsilon <= 0.0:
@@ -438,7 +394,7 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
             except CurvatureError:
                 result = None
             if result is not None and result.converged and float(g @ result.x) < 0.0:
-                return _armijo(p, spec, it, result.x, float(g @ result.x), 1.0, cfg.armijo)
+                return _armijo(p, spec, it, result.x, float(g @ result.x))
             shift = max(alpha0 * cfg.lm_decay ** n, cfg.lm_floor) if shift == 0.0 else 2.0 * shift
         return None
 
@@ -460,19 +416,19 @@ def _float_or_auto(text: str):
 
 
 # The solver knobs of a config file: key -> (parser, per-method defaults).
-# A key's common default is its SolverConfig field default (ArmijoRule's for
-# armijo_*, FISTA_VARIANTS[0] for variant; alpha unset means the sweep's
-# "auto" weight).  The methods on the substituted variable cannot move from
-# exactly zero (the Jacobian diagonal vanishes there), so they warm start
-# from a few FISTA iterations.  LM and Newton solve their inner systems
-# loosely: at m=64 and 1% noise the near-exact 1e-10 solves cost Newton about
-# 17 times and LM about 9 times the operator products, for no smaller error.
+# A key's common default is its SolverConfig field default, except alpha,
+# which is no SolverConfig field: it becomes ProblemData.alpha, and unset it
+# means the sweep's "auto" weight.  The methods on the substituted variable
+# cannot move from exactly zero (the Jacobian diagonal vanishes there), so
+# they warm start from a few FISTA iterations.  LM and Newton solve their
+# inner systems loosely: at m=64 and 1% noise the near-exact 1e-10 solves cost
+# Newton about 17 times and LM about 9 times the operator products, for no
+# smaller error.
 SOLVER_KNOBS = {
     "alpha": (_float_or_auto, {}),
     "epsilon": (_float_or_auto, {"gd": 0.0, "lm": 0.0, "newton": "auto"}),
     "tau": (float, {}),
     "omega": (_float_or_auto, {}),
-    "beta": (float, {}),
     "max_iter": (int, {"ista": 50000, "fista": 20000, "gd": 2000, "lm": 50, "newton": 50}),
     "inner_tol": (float, {"lm": 1e-2, "newton": 0.2}),
     "grad_tol": (float, {}),
@@ -480,8 +436,4 @@ SOLVER_KNOBS = {
     "lm_alpha0": (_float_or_auto, {}),
     "lm_decay": (float, {}),
     "lm_floor": (float, {}),
-    "armijo_t0": (float, {}),
-    "armijo_shrink": (float, {}),
-    "armijo_slope": (float, {}),
-    "variant": (str, {}),
 }

@@ -91,12 +91,14 @@ def test_sweep_timing_off_is_byte_reproducible(tmp_path, config_path, capsys):
 
 
 def test_sweep_with_failing_solver_exits_one(tmp_path, capsys):
+    # epsilon = 0 is a valid knob, but Newton needs a smoothed transform
     path = tmp_path / "bad.cfg"
-    path.write_text(CONFIG + "\n[solver.ista]\nomega = -5.0\n")
+    path.write_text(CONFIG.replace("ista, lm", "newton, lm")
+                    + "\n[solver.newton]\nepsilon = 0\n")
     code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert code == 1
-    assert "ista,0.1,0,error,0,nan,nan" in out
+    assert "newton,0.1,0,error,0,nan,nan" in out
     assert "lm,0.1," in out  # the healthy solver still ran
 
 
@@ -112,6 +114,19 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     code = main(["sweep", "--config", str(path)])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("sweep", ["--noise", "-0.5"], "noise levels must be >= 0 and finite, got -0.5"),
+    ("sweep", ["--noise", "nan"], "noise levels must be >= 0 and finite, got nan"),
+    ("generate", ["--noise", "inf"], "noise levels must be >= 0 and finite, got inf"),
+])
+def test_flags_are_checked_like_the_file(tmp_path, config_path, capsys, command, flags, message):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config_path), "--out", str(out), *flags])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_passes(capsys):

@@ -58,7 +58,7 @@ def test_full_file_parses(tmp_path):
         max_iter = 30
 
         [solver.fista]
-        variant = beta
+        alpha = 0.02
         omega = auto
         """))
     assert cfg.geometry.detector_spacing == 0.5
@@ -69,7 +69,7 @@ def test_full_file_parses(tmp_path):
     assert cfg.timing == "off"
     assert cfg.solver_overrides["newton"] == {
         "epsilon": "auto", "tau": 1.5, "max_iter": 30}
-    assert cfg.solver_overrides["fista"] == {"variant": "beta", "omega": "auto"}
+    assert cfg.solver_overrides["fista"] == {"alpha": 0.02, "omega": "auto"}
 
 
 def test_zero_repetitions_allowed(tmp_path):
@@ -83,11 +83,19 @@ def test_config_error_is_value_error():
 
 @pytest.mark.parametrize("extra,message", [
     ("[solver.ista]\ntau = 0.9\n", r"line 9: tau must exceed 1"),
-    ("[solver.fista]\nvariant = heavy-ball\n", r"variant must be 'nesterov-t' or 'beta'"),
+    ("[solver.lm]\nlm_decay = 2\n", r"line 9: lm_decay must lie in \(0, 1\)"),
+    ("[solver.ista]\nomega = -5.0\n", r"line 9: omega must be \"auto\" or a positive real"),
+    ("[solver.newton]\nepsilon = -1\n", r"line 9: epsilon must be >= 0"),
+    ("[solver.gd]\nmax_iter = -3\n", r"line 9: max_iter must be >= 0"),
+    ("[solver.fista]\nalpha = 0\n", r"line 9: alpha must be \"auto\" or a finite number > 0"),
+    ("[solver.fista]\nalpha = inf\n", r"line 9: alpha must be \"auto\" or a finite number > 0"),
+    ("[solver.fista]\nvariant = beta\n", r"line 9: unknown key 'variant' in section \[solver.fista\]"),
+    ("[solver.gd]\narmijo_t0 = 1\n", r"line 9: unknown key 'armijo_t0' in section \[solver.gd\]"),
     ("timing = cpu\n", r"line 8: timing must be one of wall, off"),
     ("noise_levels = 0.1, -0.2\n", r"line 8: noise levels must be >= 0"),
     ("repetitions = -1\n", r"line 8: repetitions must be >= 0"),
     ("noise_levels = 0.1, abc\n", r"noise_levels must be a number, got 'abc'"),
+    ("noise_levels = nan\n", r"line 8: noise levels must be >= 0 and finite, got nan"),
     ("noise_levels = 0.1, 0.1000000001\n",
      r"line 8: noise levels 0.1 and 0.1000000001 would write the same files"),
     ("[solver.ista]\nripple = 1\n", r"line 9: unknown key 'ripple' in section \[solver.ista\]"),

@@ -1,11 +1,12 @@
 """Sweep orchestration: per-cell configs, seeds, output files."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sparsenewton import ExperimentConfig, TomoGeometry, parse_config, run_experiment
+from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, parse_config, run_experiment
 from sparsenewton.experiment import (
     SCHEMA_LINE,
     SUMMARY_HEADER,
@@ -16,6 +17,7 @@ from sparsenewton.experiment import (
     noise_seed_for,
     resolve_alpha,
 )
+from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
 GEOM = TomoGeometry(12, 6, 14)
 
@@ -28,20 +30,18 @@ def test_resolve_alpha():
 
 def test_make_solver_config_defaults(tmp_path):
     y = np.full(4, 2.0)
-    cfg, variant = make_solver_config("newton", {}, 1.0, y)
-    assert variant == "nesterov-t"
+    cfg, alpha = make_solver_config("newton", {}, 1.0, y)
     assert cfg.max_iter == 50
     assert cfg.warm_start == 5
     assert cfg.epsilon == "auto"
-    assert cfg.alpha == pytest.approx(0.01)
+    assert alpha == pytest.approx(0.01)
     cfg, _ = make_solver_config("lm", {}, 1.0, y)
     assert cfg.epsilon == 0.0
     cfg, _ = make_solver_config("ista", {}, 1.0, y)
     assert cfg.max_iter == 50000
     assert cfg.warm_start == 0
-    cfg, variant = make_solver_config(
-        "fista", {"variant": "beta", "max_iter": 7}, 1.0, y)
-    assert variant == "beta"
+    cfg, alpha = make_solver_config("fista", {"alpha": 0.5, "max_iter": 7}, 1.0, y)
+    assert alpha == 0.5
     assert cfg.max_iter == 7
     # inexact inner solves by default, exact ones when asked for
     inner_tols = {name: make_solver_config(name, {}, 1.0, y)[0].inner_tol
@@ -54,6 +54,16 @@ def test_make_solver_config_defaults(tmp_path):
                     "[solver.newton]\ninner_tol = 1e-10\n")
     overrides = parse_config(path).solver_overrides["newton"]
     assert make_solver_config("newton", overrides, 1.0, y)[0].inner_tol == 1e-10
+
+
+def test_knob_table_matches_solver_config():
+    # alpha is the one knob that is no SolverConfig field: it is ProblemData's
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(SOLVER_KNOBS) - {"alpha"} <= fields
+    for name in SOLVER_NAMES:
+        cfg, alpha = make_solver_config(name, {}, 1.0, np.ones(4))
+        assert type(cfg) is SolverConfig
+        assert type(alpha) is float
 
 
 def test_make_solver_config_unknown_name():
