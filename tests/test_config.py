@@ -89,6 +89,13 @@ def test_config_error_is_value_error():
     ("[solver.gd]\nmax_iter = -3\n", r"line 9: max_iter must be >= 0"),
     ("[solver.fista]\nalpha = 0\n", r"line 9: alpha must be \"auto\" or a finite number > 0"),
     ("[solver.fista]\nalpha = inf\n", r"line 9: alpha must be \"auto\" or a finite number > 0"),
+    ("[solver.newton]\ntau = nan\n", r"line 9: tau must be finite, got nan"),
+    ("[solver.newton]\ninner_tol = nan\n", r"line 9: inner_tol must be finite, got nan"),
+    ("[solver.gd]\ngrad_tol = inf\n", r"line 9: grad_tol must be finite, got inf"),
+    ("[solver.lm]\nlm_floor = inf\n", r"line 9: lm_floor must be finite, got inf"),
+    ("[solver.newton]\nepsilon = nan\n", r"line 9: epsilon must be finite, got nan"),
+    ("[solver.lm]\nlm_alpha0 = inf\n", r"line 9: lm_alpha0 must be finite, got inf"),
+    ("[solver.ista]\nomega = -inf\n", r"line 9: omega must be finite, got -inf"),
     ("[solver.fista]\nvariant = beta\n", r"line 9: unknown key 'variant' in section \[solver.fista\]"),
     ("[solver.gd]\narmijo_t0 = 1\n", r"line 9: unknown key 'armijo_t0' in section \[solver.gd\]"),
     ("timing = cpu\n", r"line 8: timing must be one of wall, off"),
