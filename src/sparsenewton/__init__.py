@@ -41,12 +41,10 @@ from .tomo import (
     TomoGeometry,
     add_noise,
     build_parallel_tomo,
-    load_instance,
     make_instance,
     ray_cell_chords,
     save_instance,
     shepp_logan,
-    write_image_csv,
     write_pgm,
 )
 from .transform import (

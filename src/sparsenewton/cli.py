@@ -54,13 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, restrict_solver=None, restrict_noise=None):
+def _load_config(args, restrict_solver=None):
     """The parsed config with the flags applied; the flags go through the
-    same ExperimentConfig checks as the file."""
+    same ExperimentConfig checks as the file.  generate and solve keep one
+    noise level: --noise, else the first configured."""
     config = parse_config(args.config)
+    noise = args.noise
+    if noise is None and args.command != "sweep":
+        noise = config.noise_levels[0]
     changes = {"out": args.out, "seed": args.seed, "timing": getattr(args, "timing", None),
                "solvers": None if restrict_solver is None else [restrict_solver],
-               "noise_levels": None if restrict_noise is None else [restrict_noise]}
+               "noise_levels": None if noise is None else [noise]}
     try:
         return replace(config, **{key: value for key, value in changes.items()
                                   if value is not None})
@@ -69,7 +73,7 @@ def _load_config(args, restrict_solver=None, restrict_noise=None):
 
 
 def _cmd_generate(args) -> int:
-    config = _load_config(args, restrict_noise=getattr(args, "noise", None))
+    config = _load_config(args)
     noise = config.noise_levels[0]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -84,8 +88,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args, restrict_solver) -> int:
-    config = _load_config(args, restrict_solver=restrict_solver,
-                          restrict_noise=getattr(args, "noise", None))
+    config = _load_config(args, restrict_solver=restrict_solver)
     rows = run_experiment(config, threads=args.threads)
     print(SUMMARY_HEADER)
     for row in rows:

@@ -92,13 +92,16 @@ _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_lis
 _SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, _) in SOLVER_KNOBS.items()}
 
 
-def _check_solver_knob(key, value):
-    """Raise ValueError when a solver knob's value is out of range; every key
-    but alpha is checked by SolverConfig itself."""
+def _check_solver_knob(name, key, value):
+    """Raise ValueError when a knob's value is out of range for solver name;
+    every key but alpha is checked by SolverConfig itself, and Newton also
+    needs a smoothed transform."""
     if key != "alpha":
         SolverConfig(**{key: value})
     elif value != "auto" and not 0.0 < value < math.inf:
         raise ValueError('alpha must be "auto" or a finite number > 0')
+    if name == "newton" and key == "epsilon" and value == 0.0:
+        raise ValueError("epsilon must be > 0 for newton")
 
 
 def _section_schema(section, line_no):
@@ -192,11 +195,12 @@ def parse_config(path) -> ExperimentConfig:
 
     overrides = {}
     for (sec, key), (value, line_no) in entries.items():
+        name = sec[len("solver."):]
         try:
-            _check_solver_knob(key, value)
+            _check_solver_knob(name, key, value)
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-        overrides.setdefault(sec[len("solver."):], {})[key] = value
+        overrides.setdefault(name, {})[key] = value
 
     try:
         return ExperimentConfig(geometry, solvers, noise_levels, repetitions,

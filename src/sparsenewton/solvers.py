@@ -39,6 +39,8 @@ STAGNATION_WINDOW = 10
 MAX_BACKTRACKS = 60
 ARMIJO_SHRINK = 0.5  # backtracking accepts t = ARMIJO_SHRINK^m, m = 0, 1, ...
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the directional derivative
+SHIFT_DECAY = 0.6  # LM's shift alpha_n = max(delta * SHIFT_DECAY^n, SHIFT_FLOOR)
+SHIFT_FLOOR = 1e-14
 
 STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITER = "max_iter"
@@ -58,16 +60,13 @@ class SolverConfig:
     ProblemData.alpha.  epsilon semantics: None picks the method's default from
     SOLVER_KNOBS; "auto" resolves to 1e-4 * delta, falling back to
     1e-8 * ||y_delta|| when delta == 0.  omega "auto" is 0.9 / ||A||_2^2 with
-    the norm estimated by 100 power iterations.  lm_alpha0 None or "auto"
-    resolves to delta, giving the shift schedule alpha_n = delta * lm_decay^n.
+    the norm estimated by 100 power iterations.  max_iter and warm_start take
+    Python or numpy integers.
     """
 
     epsilon: object = None
     tau: float = 1.1
     omega: object = "auto"
-    lm_alpha0: object = None
-    lm_decay: float = 0.6
-    lm_floor: float = 1e-14
     max_iter: int = 1000
     inner_tol: float = 1e-10
     grad_tol: float = 0.0
@@ -75,21 +74,18 @@ class SolverConfig:
     warm_start: int = 0
 
     def __post_init__(self):
-        for knob in ("epsilon", "tau", "omega", "lm_alpha0", "lm_decay", "lm_floor",
-                     "inner_tol", "grad_tol"):
+        for knob in ("epsilon", "tau", "omega", "inner_tol", "grad_tol"):
             value = getattr(self, knob)
             if value not in (None, "auto") and not np.isfinite(value):
                 raise ValueError(f"{knob} must be finite, got {value!r}")
+        for knob in ("max_iter", "warm_start"):
+            value = getattr(self, knob)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{knob} must be an integer, got {value!r}")
         if self.epsilon not in (None, "auto") and self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
         if self.tau <= 1.0:
             raise ValueError("tau must exceed 1")
-        if self.lm_alpha0 not in (None, "auto") and self.lm_alpha0 < 0.0:
-            raise ValueError("lm_alpha0 must be >= 0")
-        if not 0.0 < self.lm_decay < 1.0:
-            raise ValueError("lm_decay must lie in (0, 1)")
-        if self.lm_floor <= 0.0:
-            raise ValueError("lm_floor must be > 0")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if self.inner_tol < 0.0 or self.grad_tol < 0.0:
@@ -152,8 +148,9 @@ def _transform_spec(cfg: SolverConfig, delta: float, y_delta, method: str) -> Tr
     return TransformSpec(resolve_epsilon(cfg, delta, y_delta, default))
 
 
-def _lm_alpha0(cfg: SolverConfig, delta: float) -> float:
-    return delta if cfg.lm_alpha0 in (None, "auto") else float(cfg.lm_alpha0)
+def _shift(n: int, delta: float) -> float:
+    """LM's shift at step n, and the first nonzero shift of Newton's fallback."""
+    return max(delta * SHIFT_DECAY ** n, SHIFT_FLOOR)
 
 
 def _initial_point(p: ProblemData, cfg: SolverConfig, delta: float,
@@ -340,43 +337,47 @@ def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
 
-def _solve_normal_step(A, g_diag, rhs, shift, inner_tol):
-    """CG on (G A^T A G + shift I) s = rhs; returns (s, converged)."""
-
-    def op(s):
-        return g_diag * A.transpose_matvec(A.matvec(g_diag * s)) + shift * s
-
-    try:
-        result = cg_solve(op, rhs, tol=inner_tol)
-    except CurvatureError:
-        return None, False
-    return result.x, result.converged
+def _solve_shifted(op, rhs, shifts, inner_tol: float, accept=lambda s: True):
+    """CG on (op + mu I) s = rhs for each shift mu in turn, to the relative
+    residual inner_tol; returns the first converged s that accept admits, or
+    None.  A solve that meets non-positive curvature counts as failed.
+    """
+    for mu in shifts:
+        shifted = op if mu == 0.0 else (lambda w, mu=mu: op(w) + mu * w)
+        try:
+            result = cg_solve(shifted, rhs, tol=inner_tol)
+        except CurvatureError:
+            continue
+        if result.converged and accept(result.x):
+            return result.x
+    return None
 
 
 def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
                             x_true=None, callback=None, timer=time.perf_counter):
-    """Levenberg-Marquardt on F(x~) = y with the schedule alpha_n = alpha_0 q^n.
+    """Levenberg-Marquardt on F(x~) = y with the fixed shift schedule
+    alpha_n = max(delta * 0.6^n, 1e-14).
 
     Each step solves (G A^T A G + alpha_n I) s = G A^T (y - F(x~)) by CG
     until the CG residual is at most inner_tol times the norm of the right-hand
     side; sweeps default to inner_tol = 1e-2, a truncated solve in the spirit
     of Rieder's REGINN, and the SolverConfig default 1e-10 solves almost
     exactly.  A failed inner solve is retried once with the shift doubled; a
-    second failure stops with reason "stagnation".  alpha_0 defaults to delta
-    and the shift never drops below lm_floor.
+    second failure stops with reason "stagnation".
     """
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "lm")
-    alpha0 = _lm_alpha0(cfg, delta)
 
     def step(n, it):
-        shift = max(alpha0 * cfg.lm_decay ** n, cfg.lm_floor)
         g_diag = gradient_diag(spec, it.x)
         rhs = g_diag * A.transpose_matvec(y - it.Fx)
-        s, ok = _solve_normal_step(A, g_diag, rhs, shift, cfg.inner_tol)
-        if not ok:
-            s, ok = _solve_normal_step(A, g_diag, rhs, 2.0 * shift, cfg.inner_tol)
-        return it.x + s if ok else None
+
+        def normal(w):  # G A^T A G w
+            return g_diag * A.transpose_matvec(A.matvec(g_diag * w))
+
+        mu = _shift(n, delta)
+        s = _solve_shifted(normal, rhs, (mu, 2.0 * mu), cfg.inner_tol)
+        return None if s is None else it.x + s
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
@@ -389,16 +390,16 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
     Newton condition ||H s + g|| <= inner_tol ||g|| (Dembo, Eisenstat and
     Steihaug); sweeps default to the constant forcing term inner_tol = 0.2,
     and the SolverConfig default 1e-10 solves almost exactly.  On non-positive
-    curvature or a failed inner solve the step falls back to shifted systems
-    (H + mu I) s = -g with mu doubling from the LM schedule value; persistent
-    failure stops with reason "stagnation".  Steps are damped by Armijo
-    backtracking with lambda = 1 tried first.
+    curvature, a failed inner solve or a step that is no descent direction the
+    step falls back to shifted systems (H + mu I) s = -g with mu starting at
+    LM's shift alpha_n and doubling, 60 shifts in all; persistent failure
+    stops with reason "stagnation".  Steps are damped by Armijo backtracking
+    with lambda = 1 tried first.
     """
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "newton")
     if spec.epsilon <= 0.0:
         raise ValueError("run_newton requires epsilon > 0; use run_gradient_descent for J")
-    alpha0 = _lm_alpha0(cfg, delta)
 
     def step(n, it):
         atr = A.transpose_matvec(it.Fx - y)  # shared by the gradient and the Hessian
@@ -406,17 +407,10 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
         if float(np.linalg.norm(g)) <= cfg.grad_tol:
             return None
         H = hessian_operator(p, it.x, spec, atr=atr)
-        shift = 0.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            op = H if shift == 0.0 else (lambda w, mu=shift: H(w) + mu * w)
-            try:
-                result = cg_solve(op, -g, tol=cfg.inner_tol)
-            except CurvatureError:
-                result = None
-            if result is not None and result.converged and float(g @ result.x) < 0.0:
-                return _armijo(p, spec, it, result.x, float(g @ result.x))[0]
-            shift = max(alpha0 * cfg.lm_decay ** n, cfg.lm_floor) if shift == 0.0 else 2.0 * shift
-        return None
+        mu = _shift(n, delta)
+        shifts = (0.0, *(mu * 2.0 ** j for j in range(MAX_BACKTRACKS)))
+        s = _solve_shifted(H, -g, shifts, cfg.inner_tol, accept=lambda s: float(g @ s) < 0.0)
+        return None if s is None else _armijo(p, spec, it, s, float(g @ s))[0]
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
@@ -453,7 +447,4 @@ SOLVER_KNOBS = {
     "inner_tol": (float, {"lm": 1e-2, "newton": 0.2}),
     "grad_tol": (float, {}),
     "warm_start": (int, {"gd": 5, "lm": 5, "newton": 5}),
-    "lm_alpha0": (_float_or_auto, {}),
-    "lm_decay": (float, {}),
-    "lm_floor": (float, {}),
 }

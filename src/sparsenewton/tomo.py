@@ -239,15 +239,6 @@ def write_pgm(path, image, m: int):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_image_csv(path, image):
-    """Raw image values, one per line, row-major."""
-    values = np.asarray(image, dtype=np.float64).ravel()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# schema=1\n")
-        for v in values:
-            fh.write(f"{v:.17g}\n")
-
-
 def save_instance(path, inst: ProblemInstance):
     np.savez(
         path,
@@ -263,18 +254,3 @@ def save_instance(path, inst: ProblemInstance):
         y_delta=inst.y_delta,
         delta=inst.delta,
     )
-
-
-def load_instance(path) -> ProblemInstance:
-    with np.load(path) as data:
-        geom = TomoGeometry(
-            int(data["m"]), int(data["n_angles"]), int(data["n_beams"]),
-            float(data["spacing"]),
-        )
-        A = SparseMatrix(
-            geom.n_rows, geom.n_cols,
-            data["row_offsets"], data["col_indices"], data["values"],
-        )
-        return ProblemInstance(
-            geom, A, data["x_true"], data["y"], data["y_delta"], float(data["delta"]),
-        )

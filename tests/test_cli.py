@@ -5,6 +5,7 @@ import pytest
 
 from sparsenewton.cli import main
 from sparsenewton.experiment import SUMMARY_HEADER
+from sparsenewton.solvers import RUNNERS
 
 CONFIG = """\
 [geometry]
@@ -59,6 +60,16 @@ def test_solve_single_solver(tmp_path, config_path, capsys):
     assert (out / "summary.csv").exists()
 
 
+def test_solve_without_noise_runs_the_first_configured_level(tmp_path, config_path, capsys):
+    out = tmp_path / "solve"
+    code = main(["solve", "--config", str(config_path), "--solver", "lm", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 3
+    assert lines[1].startswith("lm,0.1,")
+    assert (out / "summary.csv").read_text().count("\nlm,") == 1
+
+
 def test_sweep_full_grid(tmp_path, config_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", str(config_path), "--out", str(out)])
@@ -90,11 +101,13 @@ def test_sweep_timing_off_is_byte_reproducible(tmp_path, config_path, capsys):
         == (tmp_path / "b" / "summary.csv").read_bytes()
 
 
-def test_sweep_with_failing_solver_exits_one(tmp_path, capsys):
-    # epsilon = 0 is a valid knob, but Newton needs a smoothed transform
+def test_sweep_with_failing_solver_exits_one(tmp_path, capsys, monkeypatch):
+    def broken_newton(*args, **kwargs):
+        raise ValueError("newton failed")
+
+    monkeypatch.setitem(RUNNERS, "newton", broken_newton)
     path = tmp_path / "bad.cfg"
-    path.write_text(CONFIG.replace("ista, lm", "newton, lm")
-                    + "\n[solver.newton]\nepsilon = 0\n")
+    path.write_text(CONFIG.replace("ista, lm", "newton, lm"))
     code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert code == 1

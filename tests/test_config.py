@@ -83,7 +83,7 @@ def test_config_error_is_value_error():
 
 @pytest.mark.parametrize("extra,message", [
     ("[solver.ista]\ntau = 0.9\n", r"line 9: tau must exceed 1"),
-    ("[solver.lm]\nlm_decay = 2\n", r"line 9: lm_decay must lie in \(0, 1\)"),
+    ("[solver.lm]\nlm_decay = 0.5\n", r"line 9: unknown key 'lm_decay' in section \[solver.lm\]"),
     ("[solver.ista]\nomega = -5.0\n", r"line 9: omega must be \"auto\" or a positive real"),
     ("[solver.newton]\nepsilon = -1\n", r"line 9: epsilon must be >= 0"),
     ("[solver.gd]\nmax_iter = -3\n", r"line 9: max_iter must be >= 0"),
@@ -92,9 +92,8 @@ def test_config_error_is_value_error():
     ("[solver.newton]\ntau = nan\n", r"line 9: tau must be finite, got nan"),
     ("[solver.newton]\ninner_tol = nan\n", r"line 9: inner_tol must be finite, got nan"),
     ("[solver.gd]\ngrad_tol = inf\n", r"line 9: grad_tol must be finite, got inf"),
-    ("[solver.lm]\nlm_floor = inf\n", r"line 9: lm_floor must be finite, got inf"),
     ("[solver.newton]\nepsilon = nan\n", r"line 9: epsilon must be finite, got nan"),
-    ("[solver.lm]\nlm_alpha0 = inf\n", r"line 9: lm_alpha0 must be finite, got inf"),
+    ("[solver.newton]\nepsilon = 0\n", r"line 9: epsilon must be > 0 for newton"),
     ("[solver.ista]\nomega = -inf\n", r"line 9: omega must be finite, got -inf"),
     ("[solver.fista]\nvariant = beta\n", r"line 9: unknown key 'variant' in section \[solver.fista\]"),
     ("[solver.gd]\narmijo_t0 = 1\n", r"line 9: unknown key 'armijo_t0' in section \[solver.gd\]"),

@@ -144,15 +144,6 @@ def test_cg_finite_termination():
     assert np.linalg.norm(M @ result.x - b) <= 1e-8 * np.linalg.norm(b)
 
 
-def test_cg_history_nonincreasing():
-    rng = np.random.default_rng(9)
-    dense, A = random_sparse(rng, 25, 25, density=0.9)
-    op_dense = dense.T @ dense + 0.1 * np.eye(25)
-    result = cg_solve(lambda v: op_dense @ v, rng.standard_normal(25))
-    diffs = np.diff(result.residual_norms)
-    assert np.all(diffs <= 0.0)
-
-
 def test_cg_curvature_error_names_iteration():
     with pytest.raises(CurvatureError, match="iteration 0") as info:
         cg_solve(lambda v: np.array([1.0, -1.0]) * v, np.array([1.0, 1.0]))
@@ -167,11 +158,14 @@ def test_cg_zero_rhs():
 
 
 def test_cg_max_iter_returns_best_iterate():
-    result = cg_solve(lambda v: np.array([1.0, 4.0]) * v, np.array([1.0, 4.0]),
-                      max_iter=1)
+    d = np.array([1.0, 4.0])
+    result = cg_solve(lambda v: d * v, d, max_iter=1)
     assert not result.converged
     assert result.iterations == 1
-    assert result.residual_norms[-1] < result.residual_norms[0]
+    # one step along b from x = 0 is the best the solve saw, so it is returned
+    assert np.linalg.norm(d * result.x - d) < np.linalg.norm(d)
+    step = (d @ d) / (d @ (d * d))
+    np.testing.assert_allclose(result.x, step * d, rtol=1e-15)
 
 
 def test_as_vector_rejects_bad_input():

@@ -1,11 +1,13 @@
 """Solver runners: updates, stopping rules, traces and small closed-form oracles."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from sparsenewton import (
+    CurvatureError,
     DivergenceError,
     NoiseModel,
     ProblemData,
@@ -19,6 +21,8 @@ from sparsenewton import (
     eta_eps,
     eval_J,
     grad_J,
+    gradient_diag,
+    hessian_operator,
     make_instance,
     run_fista,
     run_gradient_descent,
@@ -214,7 +218,7 @@ def test_levenberg_marquardt_scalar_step():
     # from x=1 toward the solution of sgn(x)x^2 = 4: with a vanishing shift
     # one step lands on 1 + 6/4 = 2.5
     p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
-    cfg = SolverConfig(lm_alpha0=1e-10, max_iter=1, x0=np.array([1.0]))
+    cfg = SolverConfig(max_iter=1, x0=np.array([1.0]))  # delta = 0: shift 1e-14
     x, trace = run_levenberg_marquardt(p, cfg, 0.0)
     assert x[0] == pytest.approx(2.5, abs=1e-9)
     assert trace.stop_reason == "max_iter"
@@ -263,6 +267,40 @@ def test_newton_requires_positive_epsilon():
     p = ProblemData(ONE_BY_ONE, np.ones(1), 1.0)
     with pytest.raises(ValueError, match="epsilon > 0"):
         run_newton(p, SolverConfig(epsilon=0.0), 0.0)
+
+
+def record_shifts(monkeypatch, op0):
+    """Replace the solvers' CG by one that records the shift of each system it
+    is given, op(1) - op0 on a 1x1 problem, and fails on curvature."""
+    shifts = []
+
+    def failing_cg(op, b, **kwargs):
+        shifts.append(float(op(np.ones(1))[0]) - op0)
+        raise CurvatureError(0)
+
+    monkeypatch.setattr(solvers, "cg_solve", failing_cg)
+    return shifts
+
+
+def test_lm_tries_the_schedule_shift_then_its_double(monkeypatch):
+    x0, delta = np.array([1.0]), 0.5
+    p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
+    g = float(gradient_diag(TransformSpec(0.0), x0)[0])
+    shifts = record_shifts(monkeypatch, g * g)  # G A^T A G at x0
+    _, trace = run_levenberg_marquardt(p, SolverConfig(x0=x0), delta)
+    assert shifts == [delta, 2.0 * delta]
+    assert trace.stop_reason == "stagnation" and trace.n_star == 0
+
+
+def test_newton_tries_the_hessian_then_doubles_from_the_schedule_shift(monkeypatch):
+    x0, delta = np.array([1.0]), 0.5
+    p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
+    H = hessian_operator(p, x0, TransformSpec(0.01))
+    shifts = record_shifts(monkeypatch, float(H(np.ones(1))[0]))
+    _, trace = run_newton(p, SolverConfig(epsilon=0.01, x0=x0), delta)
+    assert shifts == pytest.approx([0.0] + [delta * 2.0 ** j for j in range(60)],
+                                   rel=1e-12, abs=1e-12)
+    assert trace.stop_reason == "stagnation" and trace.n_star == 0
 
 
 def test_newton_meets_discrepancy_on_noisy_instance():
@@ -479,20 +517,19 @@ def test_solver_config_validation():
         SolverConfig(tau=0.9)
     with pytest.raises(ValueError, match="epsilon must be >= 0"):
         SolverConfig(epsilon=-1.0)
-    with pytest.raises(ValueError, match="lm_decay"):
-        SolverConfig(lm_decay=1.0)
-    with pytest.raises(ValueError, match="lm_floor"):
-        SolverConfig(lm_floor=0.0)
-    with pytest.raises(ValueError, match="lm_alpha0"):
-        SolverConfig(lm_alpha0=-1.0)
     with pytest.raises(ValueError, match="warm_start"):
         SolverConfig(warm_start=-1)
     with pytest.raises(ValueError, match="omega"):
         SolverConfig(omega=-0.5)
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=-1)
-    for knob in ("epsilon", "tau", "omega", "lm_alpha0", "lm_decay", "lm_floor",
-                 "inner_tol", "grad_tol"):
+    for knob, value in (("max_iter", 2.5), ("max_iter", np.nan), ("warm_start", 1.5),
+                        ("max_iter", "10"), ("warm_start", np.float64(2.0))):
+        message = f"^{knob} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{knob: value})
+    assert SolverConfig(max_iter=np.int64(3), warm_start=np.int32(2)).max_iter == 3
+    for knob in ("epsilon", "tau", "omega", "inner_tol", "grad_tol"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"^{knob} must be finite, got {value!r}$"):
                 SolverConfig(**{knob: value})
