@@ -7,9 +7,9 @@ Outputs in the chosen directory (schemas frozen, first line ``# schema=1``):
 * ``recon_<solver>_<noise>_<rep>.pgm`` reconstructions (plain PGM)
 
 With ``timing = wall`` (the default) the wall_s columns hold monotonic-clock
-seconds around the solver loop; those values are real measurements and differ
-between runs.  ``timing = off`` records zeros instead, which makes repeated
-runs with the same seed byte-identical.
+seconds from before the warm start to each iterate; those values are real
+measurements and differ between runs.  ``timing = off`` records zeros instead,
+which makes repeated runs with the same seed byte-identical.
 """
 
 from __future__ import annotations

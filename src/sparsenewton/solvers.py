@@ -37,8 +37,10 @@ from .transform import TransformSpec, apply_N_inverse, gradient_diag
 STAGNATION_RTOL = 1e-14
 STAGNATION_WINDOW = 10
 MAX_BACKTRACKS = 60
-ARMIJO_SHRINK = 0.5  # backtracking accepts t = ARMIJO_SHRINK^m, m = 0, 1, ...
+ARMIJO_SHRINK = 0.5  # each rejected trial step is multiplied by ARMIJO_SHRINK
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the directional derivative
+BB_STEP_MIN = 1e-12  # GD's Barzilai-Borwein start is clipped to [BB_STEP_MIN, BB_STEP_MAX]
+BB_STEP_MAX = 1e12
 SHIFT_DECAY = 0.6  # LM's shift alpha_n = max(delta * SHIFT_DECAY^n, SHIFT_FLOOR)
 SHIFT_FLOOR = 1e-14
 
@@ -192,14 +194,15 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     cannot move (stop reason "stagnation").  spec is None on the original
     variable and the transform on the substituted one.  Each row's forward
     image is computed once, here or by the line search, and handed to the
-    functional.  Wall times count from after the initial point.
+    functional.  Wall times count from before the initial point, so row 0's
+    includes the warm start.
     """
     A, y = p.A, p.y_delta
+    t0 = timer()
     x = _initial_point(p, cfg, delta, transformed=spec is not None)
     image_of = (lambda v: v) if spec is None else (lambda v: back_transform(v, spec))
     x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
     trace = IterationTrace(spec=spec)
-    t0 = timer()
 
     def record(n, nxt):
         if isinstance(nxt, _Point):
@@ -252,21 +255,20 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
 
 def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope: float,
             t: float = 1.0):
-    """Backtrack from step t along direction until J_eps drops by at least
-    ARMIJO_SLOPE * t * slope; returns the accepted _Point and its step, or
-    (None, 0.0) once t would fall below ARMIJO_SHRINK^MAX_BACKTRACKS.
-
-    A start on the grid ARMIJO_SHRINK^m (t = 1 by default) keeps every trial
-    step on that grid, so starting lower only skips the larger trial steps.
+    """Backtrack from step t (1 by default) along direction, multiplying it
+    by ARMIJO_SHRINK, until J_eps drops by at least ARMIJO_SLOPE * t * slope;
+    returns the accepted _Point, or None once t would fall below
+    ARMIJO_SHRINK^MAX_BACKTRACKS.  The search is monotone: an accepted point
+    always lies below the current one.
     """
     while t >= ARMIJO_SHRINK ** MAX_BACKTRACKS:
         candidate = point.x + t * direction
         F_cand = p.A.matvec(back_transform(candidate, spec))
         f_cand = eval_J(p, candidate, spec, F_cand)
         if f_cand <= point.f + ARMIJO_SLOPE * t * slope:
-            return _Point(candidate, F_cand, f_cand), t
+            return _Point(candidate, F_cand, f_cand)
         t *= ARMIJO_SHRINK
-    return None, 0.0
+    return None
 
 
 def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
@@ -308,31 +310,41 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
     return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 
 
+def _bb_step(s, y) -> float:
+    """Barzilai and Borwein's long step s^T s / s^T y for the step s = x_k -
+    x_{k-1} and gradient change y = g_k - g_{k-1}, clipped to [BB_STEP_MIN,
+    BB_STEP_MAX]; 1 when s^T y <= 0, where the curvature seen gives no step.
+    """
+    sy = float(s @ y)
+    if sy <= 0.0:
+        return 1.0
+    return min(max(float(s @ s) / sy, BB_STEP_MIN), BB_STEP_MAX)
+
+
 def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
                          x_true=None, callback=None, timer=time.perf_counter):
     """Armijo-damped steepest descent on the substituted functional.
 
-    Runs on J when epsilon == 0 (the default) and on J_eps otherwise.  Each
-    Armijo search starts at min(1, 2 t_last), twice the step the previous
-    search accepted (Nocedal and Wright, Numerical Optimization, section 3.5),
-    so a step costs about three products (A^T r, a rejected doubled trial, the
-    accepted one) rather than one more for every halving down from 1.  Trial
-    steps stay on the grid ARMIJO_SHRINK^m, so the search accepts the step a
-    restart from 1 would unless that step is more than twice the last one.
+    Runs on J when epsilon == 0 (the default) and on J_eps otherwise.  The
+    first Armijo search starts at the step 1, every later one at the
+    Barzilai-Borwein step _bb_step of the last step and gradient change
+    (Barzilai and Borwein, IMA J. Numer. Anal. 1988; Raydan, SIAM J. Optim.
+    1997), which follows the curvature the iterates have seen.  The search
+    stays monotone, so J_eps falls on every step.
     """
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "gd")
-    t_start = 1.0
+    prev = None  # the last step's (x, gradient)
 
     def step(n, it):
-        nonlocal t_start
+        nonlocal prev
         g = grad_J(p, it.x, spec, atr=A.transpose_matvec(it.Fx - y))
         g_sq = float(g @ g)
         if np.sqrt(g_sq) <= cfg.grad_tol:
             return None
-        nxt, t = _armijo(p, spec, it, -g, -g_sq, t_start)
-        t_start = min(1.0, t / ARMIJO_SHRINK)
-        return nxt
+        t = 1.0 if prev is None else _bb_step(it.x - prev[0], g - prev[1])
+        prev = (it.x, g)
+        return _armijo(p, spec, it, -g, -g_sq, t)
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
@@ -410,7 +422,7 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
         mu = _shift(n, delta)
         shifts = (0.0, *(mu * 2.0 ** j for j in range(MAX_BACKTRACKS)))
         s = _solve_shifted(H, -g, shifts, cfg.inner_tol, accept=lambda s: float(g @ s) < 0.0)
-        return None if s is None else _armijo(p, spec, it, s, float(g @ s))[0]
+        return None if s is None else _armijo(p, spec, it, s, float(g @ s))
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 

@@ -19,7 +19,6 @@ from sparsenewton import (
     back_transform,
     check_discrepancy,
     eta_eps,
-    eval_J,
     grad_J,
     gradient_diag,
     hessian_operator,
@@ -33,7 +32,7 @@ from sparsenewton import (
 )
 from sparsenewton import solvers
 from sparsenewton.experiment import make_solver_config
-from sparsenewton.solvers import ARMIJO_SHRINK, ARMIJO_SLOPE, RUNNERS, resolve_epsilon
+from sparsenewton.solvers import RUNNERS, resolve_epsilon
 
 ONE_BY_ONE = SparseMatrix.from_dense(np.array([[1.0]]))
 
@@ -407,18 +406,6 @@ def test_each_iterate_image_is_computed_once(name, monkeypatch):
         assert log.inputs[back_transform(v, trace.spec).tobytes()] == 1
 
 
-def armijo_step_from_one(p, spec, x):
-    """Reference Armijo search from t = 1 along -grad J at x; returns the
-    accepted step and the next iterate."""
-    f = eval_J(p, x, spec)
-    g = grad_J(p, x, spec)
-    g_sq = float(g @ g)
-    t = 1.0
-    while eval_J(p, x + t * -g, spec) > f + ARMIJO_SLOPE * t * -g_sq:
-        t *= ARMIJO_SHRINK
-    return t, x + t * -g
-
-
 def gd_sweep_cell():
     """A small tomography cell at 1% noise with the sweep's GD knobs."""
     inst = make_instance(TomoGeometry(12, 18, 16), NoiseModel(0.01, 0))
@@ -426,81 +413,66 @@ def gd_sweep_cell():
     return ProblemData(inst.A, inst.y_delta, alpha), cfg, inst.delta
 
 
-def record_armijo_searches(monkeypatch):
-    """Installs a wrapper on the Armijo search; returns the list it fills with
-    (first trial step, accepted step) per search."""
-    searches = []
+def test_bb_step_is_the_long_step_clipped_and_one_without_positive_curvature():
+    assert solvers._bb_step(np.array([1.0, 2.0]), np.array([2.0, 1.0])) == 5.0 / 4.0
+    # on a quadratic the step is the inverse Rayleigh quotient of s
+    H = np.array([[3.0, 1.0], [1.0, 2.0]])
+    s = np.array([0.5, -1.5])
+    assert solvers._bb_step(s, H @ s) == pytest.approx((s @ s) / (s @ H @ s), rel=1e-15)
+    for y in ([-1.0, 0.0], [0.0, 1.0], [-2.0, 1.0]):  # s^T y < 0, = 0, < 0
+        assert solvers._bb_step(np.array([1.0, 0.0]), np.array(y)) == 1.0
+    assert solvers._bb_step(np.array([1e-13]), np.array([1.0])) == solvers.BB_STEP_MIN
+    assert solvers._bb_step(np.array([1.0]), np.array([1e-13])) == solvers.BB_STEP_MAX
+    assert (solvers.BB_STEP_MIN, solvers.BB_STEP_MAX) == (1e-12, 1e12)
+
+
+def test_gd_searches_start_at_the_bb_step_of_the_rows(monkeypatch):
+    starts = []
     armijo = solvers._armijo
 
     def recording_armijo(*args):
-        point, t = armijo(*args)
-        searches.append((args[5], t))
-        return point, t
+        starts.append(args[5])
+        return armijo(*args)
 
     monkeypatch.setattr(solvers, "_armijo", recording_armijo)
-    return searches
-
-
-def test_gd_search_accepts_the_steps_of_a_restart_from_one():
-    # the accepted step never more than doubles from one step to the next on
-    # this cell, so starting at twice the last step changes no iterate
     p, cfg, delta = gd_sweep_cell()
     rows = []
     _, trace = run_gradient_descent(p, cfg, delta, callback=lambda n, v: rows.append(v))
-    assert trace.n_star >= 100
-    x = rows[0]
-    want = [eval_J(p, x, trace.spec)]
-    for _ in range(trace.n_star):
-        _, x = armijo_step_from_one(p, trace.spec, x)
-        want.append(eval_J(p, x, trace.spec))
-    assert trace.functionals == want
+    grads = [grad_J(p, x, trace.spec) for x in rows]
+    want = [1.0] + [solvers._bb_step(rows[k] - rows[k - 1], grads[k] - grads[k - 1])
+                    for k in range(1, trace.n_star)]
+    assert len(starts) == trace.n_star >= 10
+    assert starts == pytest.approx(want, rel=1e-12)
+    assert len(set(starts)) > trace.n_star // 2  # the start follows the iterates
 
 
-def test_gd_search_takes_the_restart_step_unless_it_lies_above_the_start(monkeypatch):
-    # here the admissible step often more than doubles between steps
-    searches = record_armijo_searches(monkeypatch)
-    rng = np.random.default_rng(14)
-    A, y, delta = conditioned_instance(rng, noise=0.01)
-    p = ProblemData(A, y, 0.002)
-    rows = []
-    _, trace = run_gradient_descent(p, SolverConfig(x0=0.3 * rng.standard_normal(20),
-                                                    max_iter=60), delta,
-                                    callback=lambda n, v: rows.append(v))
-    above = 0
-    for x, (start, t) in zip(rows, searches):
-        restart, _ = armijo_step_from_one(p, trace.spec, x)
-        if restart <= start:
-            assert t == restart
-        else:
-            assert t <= start
-            above += 1
-    assert len(searches) == 60 and 0 < above < 60
-
-
-def test_gd_makes_about_three_products_per_step(monkeypatch):
+def test_gd_reaches_the_discrepancy_stop_on_the_sweep_cell_in_at_most_40_steps(monkeypatch):
     p, cfg, delta = gd_sweep_cell()
-    searches = record_armijo_searches(monkeypatch)
     log = ProductLog(monkeypatch)
     at_row = {}
     _, trace = run_gradient_descent(p, cfg, delta,
                                     callback=lambda n, v: at_row.setdefault(n, log.products))
-    assert trace.stop_reason == "discrepancy" and trace.n_star >= 100
-    # A step is one A^T product plus its trial steps: the search halves from
-    # twice the last step, so apart from the halvings that take the step from
-    # t = 1 down to where it ends, each search rejects at most one trial step.
-    halvings_from_one = np.log2(1.0 / searches[-1][1])
-    assert log.products - at_row[0] <= 3 * trace.n_star - 1 + halvings_from_one
+    assert trace.stop_reason == "discrepancy" and trace.n_star <= 40
+    # one A^T product per step plus the trial steps of its search
+    assert log.products - at_row[0] <= 4 * trace.n_star
 
 
-def test_gd_step_grows_back_to_one_and_no_further(monkeypatch):
-    searches = record_armijo_searches(monkeypatch)
-    p = ProblemData(SparseMatrix.from_dense(np.array([[0.5]])), np.array([0.5]), 0.01)
-    run_gradient_descent(p, SolverConfig(x0=np.array([4.0]), max_iter=20), 0.0)
-    starts = [start for start, _ in searches]
-    accepted = [t for _, t in searches]
-    assert starts == [1.0] + [min(1.0, t / ARMIJO_SHRINK) for t in accepted[:-1]]
-    assert accepted[:5] == [0.125, 0.125, 0.25, 0.5, 1.0]  # steep start, then growth
-    assert max(starts) == 1.0 and max(accepted) == 1.0
+@pytest.mark.parametrize("name", list(RUNNERS))
+def test_row_zero_wall_time_covers_the_warm_start(name, monkeypatch):
+    clock = [0.0]
+    fista = solvers.run_fista
+
+    def slow_warm_start(*args, **kwargs):
+        clock[0] += 5.0
+        return fista(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "run_fista", slow_warm_start)
+    rng = np.random.default_rng(15)
+    A, y, delta = conditioned_instance(rng, noise=0.05)
+    p = ProblemData(A, y, 0.02)
+    _, trace = RUNNERS[name](p, SolverConfig(warm_start=3, max_iter=2), delta,
+                             timer=lambda: clock[0])
+    assert trace.wall_times == [5.0] * (trace.n_star + 1)
 
 
 def test_resolve_epsilon_rules():
