@@ -43,7 +43,6 @@ from .tomo import (
     build_parallel_tomo,
     make_instance,
     ray_cell_chords,
-    save_instance,
     shepp_logan,
     write_pgm,
 )
@@ -52,7 +51,6 @@ from .transform import (
     apply_N,
     apply_N_eps,
     apply_N_inverse,
-    eta,
     eta_eps,
     eta_eps_d1,
     eta_eps_d2,

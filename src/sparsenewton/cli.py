@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: generate (cache a problem), solve (one solver, one noise level),
-sweep (full solver x noise grid) and verify (built-in self checks).  Flags
-override the corresponding config values.
+Subcommands: solve (one solver, one noise level), sweep (full solver x noise
+grid) and verify (built-in self checks).  Flags override the corresponding
+config values.
 """
 
 from __future__ import annotations
@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import selfcheck
 from .config import SOLVER_NAMES, ConfigError, parse_config
-from .experiment import SUMMARY_HEADER, noise_seed_for, run_experiment
-from .tomo import NoiseModel, make_instance, save_instance, write_pgm
+from .experiment import SUMMARY_HEADER, run_experiment
 
 
 def _add_common(parser):
@@ -30,10 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="l1-sparse tomography reconstruction benchmark",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="build and cache a tomography problem")
-    _add_common(p)
-    p.add_argument("--noise", type=float, help="relative noise level (default: first configured)")
 
     p = sub.add_parser("solve", help="run one solver at one noise level")
     _add_common(p)
@@ -54,16 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, restrict_solver=None):
+def _load_config(args):
     """The parsed config with the flags applied; the flags go through the
-    same ExperimentConfig checks as the file.  generate and solve keep one
-    noise level: --noise, else the first configured."""
+    same ExperimentConfig checks as the file.  solve keeps one noise level:
+    --noise, else the first configured."""
     config = parse_config(args.config)
     noise = args.noise
-    if noise is None and args.command != "sweep":
+    if noise is None and args.command == "solve":
         noise = config.noise_levels[0]
     changes = {"out": args.out, "seed": args.seed, "timing": getattr(args, "timing", None),
-               "solvers": None if restrict_solver is None else [restrict_solver],
+               "solvers": None if args.solver is None else [args.solver],
                "noise_levels": None if noise is None else [noise]}
     try:
         return replace(config, **{key: value for key, value in changes.items()
@@ -72,23 +66,8 @@ def _load_config(args, restrict_solver=None):
         raise ConfigError(str(exc)) from None
 
 
-def _cmd_generate(args) -> int:
+def _cmd_run(args) -> int:
     config = _load_config(args)
-    noise = config.noise_levels[0]
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = noise_seed_for(config.seed, 0, 0)
-    inst = make_instance(config.geometry, NoiseModel(noise, seed))
-    save_instance(out / f"problem_{noise:g}.npz", inst)
-    write_pgm(out / "phantom.pgm", inst.x_true, config.geometry.m)
-    print(f"matrix {inst.A.n_rows} x {inst.A.n_cols} with {inst.A.nnz} nonzeros")
-    print(f"noise level {noise:g} -> delta = {inst.delta:.6g}")
-    print(f"cached problem in {out}")
-    return 0
-
-
-def _cmd_run(args, restrict_solver) -> int:
-    config = _load_config(args, restrict_solver=restrict_solver)
     rows = run_experiment(config, threads=args.threads)
     print(SUMMARY_HEADER)
     for row in rows:
@@ -100,12 +79,8 @@ def _cmd_run(args, restrict_solver) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "solve":
-            return _cmd_run(args, restrict_solver=args.solver)
-        if args.command == "sweep":
-            return _cmd_run(args, restrict_solver=getattr(args, "solver", None))
+        if args.command in ("solve", "sweep"):
+            return _cmd_run(args)
         if args.command == "verify":
             return 0 if selfcheck.run_all(args.seed) else 1
     except ConfigError as exc:

@@ -3,8 +3,9 @@
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comment lines
 (whole-line only), UTF-8.  Sections are ``[geometry]``, ``[experiment]`` and
 one optional ``[solver.<name>]`` per solver.  Unknown sections or keys,
-duplicate keys and malformed or out-of-range values are hard errors that cite
-line numbers.
+duplicate keys, bytes that are not UTF-8 and malformed or out-of-range values
+are hard errors that cite line numbers; each value is checked on its line by
+the same rules an ExperimentConfig built in code must pass.
 
 Minimal valid file::
 
@@ -23,8 +24,11 @@ seed = 0, out = results, timing = wall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from functools import partial
+
+import numpy as np
 
 from .solvers import SOLVER_KNOBS, SOLVER_NAMES, SolverConfig
 from .tomo import TomoGeometry
@@ -36,11 +40,69 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_solver_knob(name, key, value):
+    """Raise ValueError when a knob's value is out of range for solver name;
+    every key but alpha is checked by SolverConfig itself, and Newton also
+    needs a smoothed transform."""
+    if key != "alpha":
+        SolverConfig(**{key: value})
+    elif value != "auto" and not 0.0 < value < math.inf:
+        raise ValueError('alpha must be "auto" or a finite number > 0')
+    if name == "newton" and key == "epsilon" and value == 0.0:
+        raise ValueError("epsilon must be > 0 for newton")
+
+
+def _check_solver_name(name):
+    if name not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver '{name}'; available: {', '.join(SOLVER_NAMES)}")
+
+
+def _check_field(key, value):
+    """Raise ValueError when value is out of range for the ExperimentConfig
+    field key; the dataclass checks every field with it, and the parser every
+    key of [experiment] on its line."""
+    if key == "geometry" and not isinstance(value, TomoGeometry):
+        raise ValueError(f"geometry must be a TomoGeometry, got {value!r}")
+    if key == "solvers":
+        if not value:
+            raise ValueError("solvers must list at least one solver")
+        for name in value:
+            _check_solver_name(name)
+        if len(set(value)) < len(value):
+            raise ValueError("solvers lists a solver twice, whose runs would write the same files")
+    if key == "noise_levels":
+        stems = {}
+        for level in value:
+            if not 0.0 <= level < math.inf:
+                raise ValueError(f"noise levels must be >= 0 and finite, got {level!r}")
+            stem = f"{level:g}"  # how output file names carry the level
+            if stem in stems:
+                raise ValueError(f"noise levels {stems[stem]!r} and {level!r} would write "
+                                 f"the same files (both print as {stem})")
+            stems[stem] = level
+    if key in ("repetitions", "seed"):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
+    if key == "out" and (not isinstance(value, (str, os.PathLike)) or value == ""):
+        raise ValueError(f"out must name a directory, got {value!r}")
+    if key == "timing" and value not in _TIMING_MODES:
+        raise ValueError(f"timing must be one of {', '.join(_TIMING_MODES)}, got {value!r}")
+    if key == "solver_overrides":
+        for name, knobs in value.items():
+            _check_solver_name(name)
+            for knob, knob_value in knobs.items():
+                if knob not in SOLVER_KNOBS:
+                    raise ValueError(f"unknown solver knob '{knob}' for {name}")
+                _check_solver_knob(name, knob, knob_value)
+
+
 @dataclass
 class ExperimentConfig:
-    """A sweep; raises ValueError for a negative or non-finite noise level or
-    for two that print alike under :g, since output file names carry the level
-    that way."""
+    """A sweep; raises ValueError for any field out of range (see
+    _check_field), among them noise levels that print alike under :g and
+    repeated solvers, since output file names carry both."""
 
     geometry: TomoGeometry
     solvers: list
@@ -52,15 +114,8 @@ class ExperimentConfig:
     solver_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        stems = {}
-        for level in self.noise_levels:
-            if not 0.0 <= level < math.inf:
-                raise ValueError(f"noise levels must be >= 0 and finite, got {level!r}")
-            stem = f"{level:g}"  # how output file names carry the level
-            if stem in stems:
-                raise ValueError(f"noise levels {stems[stem]!r} and {level!r} would write "
-                                 f"the same files (both print as {stem})")
-            stems[stem] = level
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
 
 
 def _parse(parse, text, line_no, key):
@@ -84,6 +139,15 @@ def _parse_float_list(text, line_no, key):
     return [_parse(float, part, line_no, key) for part in _parse_str_list(text, line_no, key)]
 
 
+def _check_geometry(key, value):
+    """Check one [geometry] key against TomoGeometry's own rules."""
+    field_name = "detector_spacing" if key == "spacing" else key
+    try:
+        TomoGeometry(**{"m": 1, "n_angles": 1, "n_beams": 1, field_name: value})
+    except ValueError as exc:
+        raise ValueError(f"invalid geometry: {exc}") from None
+
+
 _GEOMETRY_KEYS = {"m": partial(_parse, int), "n_angles": partial(_parse, int),
                   "n_beams": partial(_parse, int), "spacing": partial(_parse, float)}
 _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_list,
@@ -92,50 +156,43 @@ _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_lis
 _SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, _) in SOLVER_KNOBS.items()}
 
 
-def _check_solver_knob(name, key, value):
-    """Raise ValueError when a knob's value is out of range for solver name;
-    every key but alpha is checked by SolverConfig itself, and Newton also
-    needs a smoothed transform."""
-    if key != "alpha":
-        SolverConfig(**{key: value})
-    elif value != "auto" and not 0.0 < value < math.inf:
-        raise ValueError('alpha must be "auto" or a finite number > 0')
-    if name == "newton" and key == "epsilon" and value == 0.0:
-        raise ValueError("epsilon must be > 0 for newton")
-
-
 def _section_schema(section, line_no):
+    """The section's key parsers and the check each parsed value must pass."""
     if section == "geometry":
-        return _GEOMETRY_KEYS
+        return _GEOMETRY_KEYS, _check_geometry
     if section == "experiment":
-        return _EXPERIMENT_KEYS
+        return _EXPERIMENT_KEYS, _check_field
     if section.startswith("solver."):
         name = section[len("solver."):]
-        if name not in SOLVER_NAMES:
-            raise ConfigError(
-                f"line {line_no}: unknown solver '{name}'; available: {', '.join(SOLVER_NAMES)}"
-            )
-        return _SOLVER_KEYS
+        try:
+            _check_solver_name(name)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+        return _SOLVER_KEYS, partial(_check_solver_knob, name)
     raise ConfigError(f"line {line_no}: unknown section [{section}]")
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate an experiment file; raises ConfigError on any defect."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()  # at \n, \r\n or \r, as text mode splits
 
-    entries = {}  # (section, key) -> (value, line_no)
+    sections = {}  # section -> {key: value}
+    first_line = {}  # (section, key) -> line_no
     section = None
-    schema = None
+    schema = check = None
     for line_no, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"line {line_no}: not UTF-8 text ({exc.reason})") from None
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ConfigError(f"line {line_no}: malformed section header '{line}'")
             section = line[1:-1].strip()
-            schema = _section_schema(section, line_no)
+            schema, check = _section_schema(section, line_no)
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got '{line}'")
@@ -148,62 +205,28 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: empty key")
         if key not in schema:
             raise ConfigError(f"line {line_no}: unknown key '{key}' in section [{section}]")
-        if (section, key) in entries:
-            first = entries[(section, key)][1]
+        if (section, key) in first_line:
             raise ConfigError(
                 f"line {line_no}: duplicate key '{key}' in section [{section}] "
-                f"(first set on line {first})"
+                f"(first set on line {first_line[(section, key)]})"
             )
-        entries[(section, key)] = (schema[key](value, line_no, key), line_no)
-
-    def take(section, key, default=None):
-        return entries.pop((section, key), (default, None))
+        first_line[(section, key)] = line_no
+        value = schema[key](value, line_no, key)
+        try:
+            check(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+        sections.setdefault(section, {})[key] = value
 
     required = [("geometry", "m"), ("geometry", "n_angles"), ("geometry", "n_beams"),
                 ("experiment", "solvers")]
     for sec, key in required:
-        if (sec, key) not in entries:
+        if (sec, key) not in first_line:
             raise ConfigError(f"missing required key '{key}' in section [{sec}]")
 
-    m, _ = take("geometry", "m")
-    n_angles, _ = take("geometry", "n_angles")
-    n_beams, _ = take("geometry", "n_beams")
-    spacing, _ = take("geometry", "spacing")
-    try:
-        geometry = TomoGeometry(m, n_angles, n_beams, spacing)
-    except ValueError as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from None
-
-    solvers, solvers_line = take("experiment", "solvers")
-    for name in solvers:
-        if name not in SOLVER_NAMES:
-            raise ConfigError(
-                f"line {solvers_line}: unknown solver '{name}'; "
-                f"available: {', '.join(SOLVER_NAMES)}"
-            )
-    noise_levels, noise_line = take("experiment", "noise_levels", [0.1])
-    repetitions, rep_line = take("experiment", "repetitions", 1)
-    if repetitions < 0:
-        raise ConfigError(f"line {rep_line}: repetitions must be >= 0")
-    seed, _ = take("experiment", "seed", 0)
-    out, _ = take("experiment", "out", "results")
-    timing, timing_line = take("experiment", "timing", "wall")
-    if timing not in _TIMING_MODES:
-        raise ConfigError(
-            f"line {timing_line}: timing must be one of {', '.join(_TIMING_MODES)}"
-        )
-
-    overrides = {}
-    for (sec, key), (value, line_no) in entries.items():
-        name = sec[len("solver."):]
-        try:
-            _check_solver_knob(name, key, value)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
-        overrides.setdefault(name, {})[key] = value
-
-    try:
-        return ExperimentConfig(geometry, solvers, noise_levels, repetitions,
-                                seed, out, timing, overrides)
-    except ValueError as exc:  # only the noise levels are checked there
-        raise ConfigError(f"line {noise_line}: {exc}") from None
+    geometry = sections.pop("geometry")
+    if "spacing" in geometry:
+        geometry["detector_spacing"] = geometry.pop("spacing")
+    experiment = sections.pop("experiment")
+    overrides = {sec[len("solver."):]: knobs for sec, knobs in sections.items()}
+    return ExperimentConfig(TomoGeometry(**geometry), solver_overrides=overrides, **experiment)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .functionals import ProblemData, back_transform
-from .solvers import RUNNERS, SOLVER_KNOBS, SOLVER_NAMES, SolverConfig
+from .solvers import RUNNERS, SOLVER_KNOBS, SOLVER_NAMES, SolverConfig, resolve_auto
 from .tomo import NoiseModel, ProblemInstance, add_noise, build_parallel_tomo, shepp_logan, write_pgm
 
 SCHEMA_LINE = "# schema=1"
@@ -40,11 +40,7 @@ ALPHA_COEFF = 0.01
 def resolve_alpha(value, delta: float, y_delta) -> float:
     """"auto" (or unset) regularization weight: ALPHA_COEFF * delta, or a
     small multiple of ||y_delta|| in the noise-free case."""
-    if value not in (None, "auto"):
-        return float(value)
-    if delta > 0.0:
-        return ALPHA_COEFF * delta
-    return 1e-8 * float(np.linalg.norm(y_delta))
+    return resolve_auto(value, ALPHA_COEFF, delta, y_delta)
 
 
 def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
@@ -87,8 +83,7 @@ def _run_cell(name, overrides, instance: ProblemInstance, noise_rel, rep, timing
         x, trace = run_solver(name, p, cfg, instance.delta, x_true=instance.x_true, timer=timer)
     except Exception as exc:  # errored runs still get a summary row
         return CellResult(name, noise_rel, rep, None, None, f"{type(exc).__name__}: {exc}")
-    image = x if trace.spec is None else back_transform(x, trace.spec)
-    return CellResult(name, noise_rel, rep, image, trace, None)
+    return CellResult(name, noise_rel, rep, back_transform(x, trace.spec), trace, None)
 
 
 def noise_seed_for(base_seed: int, level_index: int, rep: int) -> int:

@@ -10,7 +10,7 @@ Minimizers correspond through x = N(x~) at equal alpha, since
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +42,11 @@ class ProblemData:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
-def _transformed(spec: TransformSpec, x) -> np.ndarray:
+def back_transform(x, spec: Optional[TransformSpec]):
+    """The image of an iterate: N(x~) or N_eps(x~) on the substituted
+    variable, and x itself when spec is None (the original variable)."""
+    if spec is None:
+        return x
     return apply_N_eps(spec, x) if spec.epsilon > 0.0 else apply_N(x)
 
 
@@ -60,7 +64,7 @@ def eval_J(p: ProblemData, x, spec: TransformSpec, Fx=None) -> float:
     the forward image A N(x) when the caller has it."""
     x = np.asarray(x, dtype=np.float64)
     if Fx is None:
-        Fx = p.A.matvec(_transformed(spec, x))
+        Fx = p.A.matvec(back_transform(x, spec))
     r = Fx - p.y_delta
     return float(r @ r + p.alpha * (x @ x))
 
@@ -69,7 +73,7 @@ def _adjoint_residual(p: ProblemData, x, spec: TransformSpec, atr) -> np.ndarray
     """A^T (A N(x) - y): atr itself when given, else computed."""
     if atr is not None:
         return atr
-    return p.A.transpose_matvec(p.A.matvec(_transformed(spec, x)) - p.y_delta)
+    return p.A.transpose_matvec(p.A.matvec(back_transform(x, spec)) - p.y_delta)
 
 
 def grad_J(p: ProblemData, x, spec: TransformSpec, *, atr=None) -> np.ndarray:
@@ -105,8 +109,3 @@ def hessian_operator(p: ProblemData, x, spec: TransformSpec, *,
             + 2.0 * p.alpha * w
 
     return apply_hessian
-
-
-def back_transform(x_tilde, spec: TransformSpec) -> np.ndarray:
-    """Map a substituted-variable iterate back to the image: N(x~) or N_eps(x~)."""
-    return _transformed(spec, np.asarray(x_tilde, dtype=np.float64))

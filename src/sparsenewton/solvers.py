@@ -60,10 +60,9 @@ class SolverConfig:
     The field defaults are the common defaults of the solver knobs; the
     per-method ones are in SOLVER_KNOBS.  The regularization weight is
     ProblemData.alpha.  epsilon semantics: None picks the method's default from
-    SOLVER_KNOBS; "auto" resolves to 1e-4 * delta, falling back to
-    1e-8 * ||y_delta|| when delta == 0.  omega "auto" is 0.9 / ||A||_2^2 with
-    the norm estimated by 100 power iterations.  max_iter and warm_start take
-    Python or numpy integers.
+    SOLVER_KNOBS; "auto" resolves to 1e-4 * delta (see resolve_auto).  omega
+    "auto" is 0.9 / ||A||_2^2 with the norm estimated by 100 power iterations.
+    max_iter and warm_start take Python or numpy integers.
     """
 
     epsilon: object = None
@@ -134,15 +133,19 @@ def _resolve_omega(A, cfg: SolverConfig) -> float:
     return float(cfg.omega)
 
 
+def resolve_auto(value, coeff: float, delta: float, y_delta) -> float:
+    """value as a float; "auto" (or None) is coeff * delta, falling back to
+    1e-8 * ||y_delta|| when delta == 0."""
+    if value not in (None, "auto"):
+        return float(value)
+    if delta > 0.0:
+        return coeff * delta
+    return 1e-8 * float(np.linalg.norm(y_delta))
+
+
 def resolve_epsilon(cfg: SolverConfig, delta: float, y_delta, default) -> float:
-    eps = cfg.epsilon
-    if eps is None:
-        eps = default
-    if eps == "auto":
-        if delta > 0.0:
-            return 1e-4 * delta
-        return 1e-8 * float(np.linalg.norm(y_delta))
-    return float(eps)
+    """cfg.epsilon, or the method's default when unset; "auto" is 1e-4 * delta."""
+    return resolve_auto(default if cfg.epsilon is None else cfg.epsilon, 1e-4, delta, y_delta)
 
 
 def _transform_spec(cfg: SolverConfig, delta: float, y_delta, method: str) -> TransformSpec:
@@ -185,6 +188,13 @@ class _Point:
     f: float
 
 
+def _evaluate(p: ProblemData, spec, x) -> _Point:
+    """x with its forward image and its functional value: T when spec is
+    None, J_eps otherwise."""
+    Fx = p.A.matvec(back_transform(x, spec))
+    return _Point(x, Fx, eval_T(p, x, Fx) if spec is None else eval_J(p, x, spec, Fx))
+
+
 def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
              x_true, callback, timer):
     """The outer loop of every method; returns (x, trace).
@@ -192,31 +202,24 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     step(n, point) maps the _Point of row n to the next iterate, or to its
     _Point when a line search already evaluated it, or to None when the method
     cannot move (stop reason "stagnation").  spec is None on the original
-    variable and the transform on the substituted one.  Each row's forward
-    image is computed once, here or by the line search, and handed to the
-    functional.  Wall times count from before the initial point, so row 0's
-    includes the warm start.
+    variable and the transform on the substituted one.  Each row is evaluated
+    once, by _evaluate, here or in the line search.  Wall times count from
+    before the initial point, so row 0's includes the warm start.
     """
-    A, y = p.A, p.y_delta
+    y = p.y_delta
     t0 = timer()
     x = _initial_point(p, cfg, delta, transformed=spec is not None)
-    image_of = (lambda v: v) if spec is None else (lambda v: back_transform(v, spec))
     x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
     trace = IterationTrace(spec=spec)
 
     def record(n, nxt):
-        if isinstance(nxt, _Point):
-            point = nxt
-        else:
-            Fx = A.matvec(image_of(nxt))
-            f = eval_T(p, nxt, Fx) if spec is None else eval_J(p, nxt, spec, Fx)
-            point = _Point(nxt, Fx, f)
+        point = nxt if isinstance(nxt, _Point) else _evaluate(p, spec, nxt)
         x = point.x
         residual = float(np.linalg.norm(point.Fx - y))
         if x_true is None:
             rel = float("nan")
         else:
-            err = np.linalg.norm(image_of(x) - x_true)
+            err = np.linalg.norm(back_transform(x, spec) - x_true)
             rel = float(err / x_true_norm) if x_true_norm > 0 else float(err)
         trace.iterations.append(n)
         trace.residuals.append(residual)
@@ -262,11 +265,9 @@ def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope
     always lies below the current one.
     """
     while t >= ARMIJO_SHRINK ** MAX_BACKTRACKS:
-        candidate = point.x + t * direction
-        F_cand = p.A.matvec(back_transform(candidate, spec))
-        f_cand = eval_J(p, candidate, spec, F_cand)
-        if f_cand <= point.f + ARMIJO_SLOPE * t * slope:
-            return _Point(candidate, F_cand, f_cand)
+        candidate = _evaluate(p, spec, point.x + t * direction)
+        if candidate.f <= point.f + ARMIJO_SLOPE * t * slope:
+            return candidate
         t *= ARMIJO_SHRINK
     return None
 
@@ -275,11 +276,10 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
              x_true=None, callback=None, timer=time.perf_counter):
     """Iterative soft thresholding on the original variable."""
     A, y = p.A, p.y_delta
-    omega = _resolve_omega(A, cfg)
-    threshold = p.alpha * omega
 
     def step(n, it):
-        return soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), threshold)
+        omega = _resolve_omega(A, cfg)  # in the step, so wall_s covers the power method
+        return soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), p.alpha * omega)
 
     return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 
@@ -290,13 +290,12 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
     t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2 and momentum weight (t_{k-1} - 1)/t_k.
     """
     A, y = p.A, p.y_delta
-    omega = _resolve_omega(A, cfg)
-    threshold = p.alpha * omega
     prev = None
     t_prev = 1.0
 
     def step(n, it):
         nonlocal prev, t_prev
+        omega = _resolve_omega(A, cfg)  # in the step, as in run_ista
         if prev is None:
             prev = it
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
@@ -305,7 +304,7 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
         z = it.x + momentum * (it.x - prev.x)
         Az = it.Fx + momentum * (it.Fx - prev.Fx)  # exact by linearity
         prev = it
-        return soft_threshold(z - omega * A.transpose_matvec(Az - y), threshold)
+        return soft_threshold(z - omega * A.transpose_matvec(Az - y), p.alpha * omega)
 
     return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 

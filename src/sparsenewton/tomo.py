@@ -40,10 +40,12 @@ class TomoGeometry:
     detector_spacing: Optional[float] = None  # None: m / n_beams
 
     def __post_init__(self):
-        if self.m < 1 or self.n_angles < 1 or self.n_beams < 1:
-            raise ValueError("m, n_angles and n_beams must all be >= 1")
-        if self.detector_spacing is not None and self.detector_spacing <= 0.0:
-            raise ValueError("detector_spacing must be > 0")
+        for name in ("m", "n_angles", "n_beams"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.detector_spacing is not None and not 0.0 < self.detector_spacing < np.inf:
+            raise ValueError(f"spacing must be finite and > 0, got {self.detector_spacing}")
 
     @property
     def spacing(self) -> float:
@@ -237,20 +239,3 @@ def write_pgm(path, image, m: int):
         lines.append(" ".join(str(v) for v in flat[start:start + 17]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def save_instance(path, inst: ProblemInstance):
-    np.savez(
-        path,
-        m=inst.geometry.m,
-        n_angles=inst.geometry.n_angles,
-        n_beams=inst.geometry.n_beams,
-        spacing=inst.geometry.spacing,
-        row_offsets=inst.A.row_offsets,
-        col_indices=inst.A.col_indices,
-        values=inst.A.values,
-        x_true=inst.x_true,
-        y=inst.y,
-        y_delta=inst.y_delta,
-        delta=inst.delta,
-    )

@@ -40,12 +40,6 @@ def _shaped(raw, like):
     return raw if arr.ndim else float(raw)
 
 
-def eta(tau):
-    """sign(tau) * tau^2, elementwise."""
-    t = np.asarray(tau, dtype=np.float64)
-    return _shaped(np.sign(t) * t * t, t)
-
-
 def eta_eps(spec: TransformSpec, tau):
     """Smoothed transform; odd in tau, so computed from |tau|.
 

@@ -1,6 +1,5 @@
 """End-to-end command-line behavior, run in process."""
 
-import numpy as np
 import pytest
 
 from sparsenewton.cli import main
@@ -26,26 +25,18 @@ def config_path(tmp_path):
     return path
 
 
-def test_generate(tmp_path, config_path, capsys):
-    out = tmp_path / "cache"
-    code = main(["generate", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "matrix 84 x 144 with" in captured
-    assert "noise level 0.1 -> delta" in captured
-    assert f"cached problem in {out}" in captured
-    assert (out / "problem_0.1.npz").exists()
-    assert (out / "phantom.pgm").exists()
-
-
-def test_generate_seed_changes_noise(tmp_path, config_path):
+def test_sweep_seed_changes_noise(tmp_path, config_path, capsys):
+    traces = []
     for seed in (0, 1):
-        main(["generate", "--config", str(config_path), "--noise", "0.3",
-              "--out", str(tmp_path / f"s{seed}"), "--seed", str(seed)])
-    with np.load(tmp_path / "s0" / "problem_0.3.npz") as a, \
-            np.load(tmp_path / "s1" / "problem_0.3.npz") as b:
-        np.testing.assert_array_equal(a["y"], b["y"])
-        assert np.linalg.norm(a["y_delta"] - b["y_delta"]) > 0.0
+        code = main(["sweep", "--config", str(config_path), "--solver", "ista", "--noise", "0.3",
+                     "--timing", "off", "--out", str(tmp_path / f"s{seed}"), "--seed", str(seed)])
+        assert code == 0
+        traces.append((tmp_path / f"s{seed}" / "trace_ista_0.3_0.csv").read_text())
+    capsys.readouterr()
+    # row 0 is x = 0 for both seeds, so its residual ||y_delta|| shows the noise
+    first_rows = [text.splitlines()[2].split(",") for text in traces]
+    assert first_rows[0][0] == first_rows[1][0] == "0"
+    assert first_rows[0][1] != first_rows[1][1]
 
 
 def test_solve_single_solver(tmp_path, config_path, capsys):
@@ -132,7 +123,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("command,flags,message", [
     ("sweep", ["--noise", "-0.5"], "noise levels must be >= 0 and finite, got -0.5"),
     ("sweep", ["--noise", "nan"], "noise levels must be >= 0 and finite, got nan"),
-    ("generate", ["--noise", "inf"], "noise levels must be >= 0 and finite, got inf"),
+    ("solve", ["--solver", "ista", "--noise", "inf"],
+     "noise levels must be >= 0 and finite, got inf"),
+    ("sweep", ["--seed", "-3"], "seed must be >= 0, got -3"),
 ])
 def test_flags_are_checked_like_the_file(tmp_path, config_path, capsys, command, flags, message):
     out = tmp_path / "out"

@@ -3,8 +3,11 @@
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sparsenewton import ConfigError, TomoGeometry, parse_config
+from sparsenewton import ConfigError, ExperimentConfig, TomoGeometry, parse_config
+from sparsenewton.solvers import SOLVER_KNOBS
 
 MINIMAL = """\
 [geometry]
@@ -98,6 +101,10 @@ def test_config_error_is_value_error():
     ("[solver.fista]\nvariant = beta\n", r"line 9: unknown key 'variant' in section \[solver.fista\]"),
     ("[solver.gd]\narmijo_t0 = 1\n", r"line 9: unknown key 'armijo_t0' in section \[solver.gd\]"),
     ("timing = cpu\n", r"line 8: timing must be one of wall, off"),
+    ("seed = -1\n", r"line 8: seed must be >= 0, got -1"),
+    ("[geometry]\nspacing = nan\n", r"line 9: invalid geometry: spacing must be finite and > 0"),
+    ("[geometry]\nspacing = inf\n", r"line 9: invalid geometry: spacing must be finite and > 0"),
+    ("[geometry]\nspacing = 0\n", r"line 9: invalid geometry: spacing must be finite and > 0"),
     ("noise_levels = 0.1, -0.2\n", r"line 8: noise levels must be >= 0"),
     ("repetitions = -1\n", r"line 8: repetitions must be >= 0"),
     ("noise_levels = 0.1, abc\n", r"noise_levels must be a number, got 'abc'"),
@@ -143,6 +150,25 @@ def test_unknown_solver_in_list(tmp_path):
         parse_config(write(tmp_path, bad))
 
 
+def test_repeated_solver_is_rejected(tmp_path):
+    bad = MINIMAL.replace("ista, newton", "fista, fista")
+    with pytest.raises(ConfigError, match=r"line 7: solvers lists a solver twice"):
+        parse_config(write(tmp_path, bad))
+
+
+def test_geometry_errors_cite_their_line(tmp_path):
+    message = r"line 4: invalid geometry: n_beams must be an integer >= 1, got 0"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write(tmp_path, MINIMAL.replace("n_beams = 45", "n_beams = 0")))
+
+
+def test_non_utf8_file_cites_its_line(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(MINIMAL.encode() + "out = r\u00e9sultats\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=r"line 8: not UTF-8 text"):
+        parse_config(path)
+
+
 def test_invalid_geometry_reported(tmp_path):
     with pytest.raises(ConfigError, match=r"invalid geometry: .*>= 1"):
         parse_config(write(tmp_path, MINIMAL.replace("m = 32", "m = 0")))
@@ -151,3 +177,33 @@ def test_invalid_geometry_reported(tmp_path):
 def test_missing_file_raises_os_error(tmp_path):
     with pytest.raises(OSError):
         parse_config(tmp_path / "absent.cfg")
+
+
+KEYS = ("m", "n_angles", "n_beams", "spacing", "solvers", "noise_levels", "repetitions",
+        "seed", "out", "timing", *SOLVER_KNOBS)
+VALUES = ("0", "1", "-1", "2.5", "1e400", "nan", "inf", "auto", "", "wall", "off",
+          "ista", "ista, ista", "newton, lm", "0.1, 0.1000000001")
+config_lines = st.one_of(
+    st.sampled_from(("[geometry]", "[experiment]", "[solver.newton]", "[solver.bfgs]",
+                     "[solver.ista", "[]", "# note", "", "= 1")),
+    st.builds("{} = {}".format, st.sampled_from(KEYS),
+              st.one_of(st.sampled_from(VALUES), st.text(max_size=6))),
+    st.text(max_size=12),
+)
+config_texts = st.builds(lambda head, lines: head + "\n".join(lines),
+                         st.sampled_from(("", MINIMAL)), st.lists(config_lines, max_size=12))
+config_bytes = st.one_of(config_texts.map(lambda t: t.encode("utf-8", "surrogatepass")),
+                         st.binary(max_size=64))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=config_bytes)
+def test_parser_raises_nothing_but_config_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        config = parse_config(path)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)

@@ -17,7 +17,7 @@ from sparsenewton.experiment import (
     noise_seed_for,
     resolve_alpha,
 )
-from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
+from sparsenewton.solvers import RUNNERS, SOLVER_KNOBS, SOLVER_NAMES
 
 GEOM = TomoGeometry(12, 6, 14)
 
@@ -157,12 +157,37 @@ def test_zero_repetitions_yields_empty_summary(tmp_path):
     assert read_rows(out / "summary.csv") == []
 
 
-def test_failed_cell_becomes_error_row(tmp_path):
+def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
+    def broken_ista(*args, **kwargs):
+        raise ValueError("ista failed")
+
+    monkeypatch.setitem(RUNNERS, "ista", broken_ista)
     out = tmp_path / "err"
-    cfg = ExperimentConfig(GEOM, ["ista", "lm"], [0.1], 1, 0, str(out), "off",
-                           solver_overrides={"ista": {"omega": -5.0}})
+    cfg = ExperimentConfig(GEOM, ["ista", "lm"], [0.1], 1, 0, str(out), "off")
     rows = run_experiment(cfg)
     assert rows[0] == "ista,0.1,0,error,0,nan,nan"
     assert rows[1].startswith("lm,0.1,")
     assert not (out / "trace_ista_0.1_0.csv").exists()
     assert (out / "trace_lm_0.1_0.csv").exists()
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"solvers": ["fista", "fista"]}, "solvers lists a solver twice"),
+    ({"solvers": []}, "solvers must list at least one solver"),
+    ({"solvers": ["bfgs"]}, "unknown solver 'bfgs'"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"repetitions": -2}, "repetitions must be >= 0, got -2"),
+    ({"timing": "Wall"}, "timing must be one of wall, off, got 'Wall'"),
+    ({"out": ""}, "out must name a directory"),
+    ({"geometry": (12, 6, 14)}, "geometry must be a TomoGeometry"),
+    ({"solver_overrides": {"bfgs": {}}}, "unknown solver 'bfgs'"),
+    ({"solver_overrides": {"ista": {"ripple": 1}}}, "unknown solver knob 'ripple' for ista"),
+    ({"solver_overrides": {"ista": {"omega": -5.0}}}, "omega must be \"auto\" or a positive real"),
+    ({"solver_overrides": {"newton": {"epsilon": 0.0}}}, "epsilon must be > 0 for newton"),
+])
+def test_config_built_in_code_checks_every_field(tmp_path, changes, message):
+    fields = {"geometry": GEOM, "solvers": ["ista"], "out": str(tmp_path / "out"), **changes}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**fields)
+    assert not (tmp_path / "out").exists()

@@ -183,6 +183,12 @@ def test_back_transform():
     np.testing.assert_array_equal(back_transform(x, spec), apply_N_eps(spec, x))
 
 
+def test_back_transform_without_spec_is_the_identity():
+    x = np.array([0.1, -2.0, 0.0])
+    assert back_transform(x, None) is x
+    np.testing.assert_array_equal(x, [0.1, -2.0, 0.0])
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_precomputed_image_gives_identical_results(eps):
     rng = np.random.default_rng(11)

@@ -475,6 +475,24 @@ def test_row_zero_wall_time_covers_the_warm_start(name, monkeypatch):
     assert trace.wall_times == [5.0] * (trace.n_star + 1)
 
 
+@pytest.mark.parametrize("name", ["ista", "fista"])
+def test_wall_time_covers_the_norm_estimate(name, monkeypatch):
+    clock = [0.0]
+    estimate = SparseMatrix.norm2_estimate
+
+    def slow_estimate(self):
+        clock[0] += 5.0
+        return estimate(self)
+
+    monkeypatch.setattr(SparseMatrix, "norm2_estimate", slow_estimate)
+    rng = np.random.default_rng(15)
+    A, y, delta = conditioned_instance(rng, noise=0.05)
+    _, trace = RUNNERS[name](ProblemData(A, y, 0.02), SolverConfig(max_iter=2), delta,
+                             timer=lambda: clock[0])
+    assert trace.n_star == 2
+    assert trace.wall_times[-1] == clock[0] > 0.0
+
+
 def test_resolve_epsilon_rules():
     y = np.ones(4) * 2.0  # norm 4
     assert resolve_epsilon(SolverConfig(epsilon=0.3), 1.0, y, default=0.0) == 0.3

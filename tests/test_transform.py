@@ -8,7 +8,6 @@ from sparsenewton import (
     apply_N,
     apply_N_eps,
     apply_N_inverse,
-    eta,
     eta_eps,
     eta_eps_d1,
     eta_eps_d2,
@@ -18,11 +17,10 @@ from sparsenewton import (
 
 
 def test_eta_values():
-    assert eta(0.0) == 0.0
-    assert eta(2.0) == 4.0
-    assert eta(-2.0) == -4.0
-    assert eta(0.5) == 0.25
-    np.testing.assert_array_equal(eta(np.array([1.0, -2.0])), [1.0, -4.0])
+    # the exact scalar map eta(t) = sign(t) t^2, applied by apply_N
+    for tau, value in ((0.0, 0.0), (2.0, 4.0), (-2.0, -4.0), (0.5, 0.25)):
+        assert apply_N(tau) == value
+    np.testing.assert_array_equal(apply_N(np.array([1.0, -2.0])), [1.0, -4.0])
 
 
 def test_eta_eps_values():
