@@ -16,6 +16,13 @@ from .config import SOLVER_NAMES, ConfigError, parse_config
 from .experiment import SUMMARY_HEADER, run_experiment
 
 
+def _seed(text) -> int:
+    """verify's --seed: an integer >= 0, as numpy's generators need."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", help="output directory (overrides the config)")
@@ -44,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock columns or zeros (byte-reproducible)")
 
     p = sub.add_parser("verify", help="run the built-in self checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -24,6 +24,7 @@ seed = 0, out = results, timing = wall.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -46,7 +47,7 @@ def _check_solver_knob(name, key, value):
     needs a smoothed transform."""
     if key != "alpha":
         SolverConfig(**{key: value})
-    elif value != "auto" and not 0.0 < value < math.inf:
+    elif value != "auto" and not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
         raise ValueError('alpha must be "auto" or a finite number > 0')
     if name == "newton" and key == "epsilon" and value == 0.0:
         raise ValueError("epsilon must be > 0 for newton")
@@ -71,9 +72,11 @@ def _check_field(key, value):
         if len(set(value)) < len(value):
             raise ValueError("solvers lists a solver twice, whose runs would write the same files")
     if key == "noise_levels":
+        if np.ndim(value) != 1:
+            raise ValueError(f"noise_levels must be a list of numbers, got {value!r}")
         stems = {}
         for level in value:
-            if not 0.0 <= level < math.inf:
+            if not (isinstance(level, numbers.Real) and 0.0 <= level < math.inf):
                 raise ValueError(f"noise levels must be >= 0 and finite, got {level!r}")
             stem = f"{level:g}"  # how output file names carry the level
             if stem in stems:

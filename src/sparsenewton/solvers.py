@@ -24,6 +24,7 @@ ISTA with alpha = a / 2.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -43,6 +44,8 @@ BB_STEP_MIN = 1e-12  # GD's Barzilai-Borwein start is clipped to [BB_STEP_MIN, B
 BB_STEP_MAX = 1e12
 SHIFT_DECAY = 0.6  # LM's shift alpha_n = max(delta * SHIFT_DECAY^n, SHIFT_FLOOR)
 SHIFT_FLOOR = 1e-14
+
+_KNOB_WORDS = {"epsilon": (None, "auto"), "omega": ("auto",)}  # accepted besides numbers
 
 STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITER = "max_iter"
@@ -77,7 +80,11 @@ class SolverConfig:
     def __post_init__(self):
         for knob in ("epsilon", "tau", "omega", "inner_tol", "grad_tol"):
             value = getattr(self, knob)
-            if value not in (None, "auto") and not np.isfinite(value):
+            if value in _KNOB_WORDS.get(knob, ()):
+                continue
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{knob} must be a number, got {value!r}")
+            if not np.isfinite(value):
                 raise ValueError(f"{knob} must be finite, got {value!r}")
         for knob in ("max_iter", "warm_start"):
             value = getattr(self, knob)
@@ -93,7 +100,7 @@ class SolverConfig:
             raise ValueError("tolerances must be >= 0")
         if self.warm_start < 0:
             raise ValueError("warm_start must be >= 0")
-        if self.omega != "auto" and (not np.isreal(self.omega) or self.omega <= 0.0):
+        if self.omega != "auto" and self.omega <= 0.0:
             raise ValueError('omega must be "auto" or a positive real')
 
 
@@ -180,19 +187,22 @@ def _check_finite(x: np.ndarray):
 
 @dataclass
 class _Point:
-    """An iterate with its forward image Fx (A x, or A N_eps(x~) on the
-    substituted variable) and its functional value f (T, or J_eps)."""
+    """An iterate with its image (x, or N_eps(x~) on the substituted
+    variable), its forward image Fx = A image and its functional value f (T,
+    or J_eps)."""
 
     x: np.ndarray
+    image: np.ndarray
     Fx: np.ndarray
     f: float
 
 
 def _evaluate(p: ProblemData, spec, x) -> _Point:
-    """x with its forward image and its functional value: T when spec is
+    """x with its image, forward image and functional value: T when spec is
     None, J_eps otherwise."""
-    Fx = p.A.matvec(back_transform(x, spec))
-    return _Point(x, Fx, eval_T(p, x, Fx) if spec is None else eval_J(p, x, spec, Fx))
+    image = back_transform(x, spec)
+    Fx = p.A.matvec(image)
+    return _Point(x, image, Fx, eval_T(p, x, Fx) if spec is None else eval_J(p, x, spec, Fx))
 
 
 def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
@@ -214,12 +224,11 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
 
     def record(n, nxt):
         point = nxt if isinstance(nxt, _Point) else _evaluate(p, spec, nxt)
-        x = point.x
         residual = float(np.linalg.norm(point.Fx - y))
         if x_true is None:
             rel = float("nan")
         else:
-            err = np.linalg.norm(back_transform(x, spec) - x_true)
+            err = np.linalg.norm(point.image - x_true)
             rel = float(err / x_true_norm) if x_true_norm > 0 else float(err)
         trace.iterations.append(n)
         trace.residuals.append(residual)
@@ -227,7 +236,7 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
         trace.rel_errors.append(rel)
         trace.wall_times.append(timer() - t0)
         if callback is not None:
-            callback(n, x)
+            callback(n, point.x)
         return point, check_discrepancy(residual, cfg.tau, delta)
 
     point, met = record(0, x)
@@ -373,8 +382,7 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
     until the CG residual is at most inner_tol times the norm of the right-hand
     side; sweeps default to inner_tol = 1e-2, a truncated solve in the spirit
     of Rieder's REGINN, and the SolverConfig default 1e-10 solves almost
-    exactly.  A failed inner solve is retried once with the shift doubled; a
-    second failure stops with reason "stagnation".
+    exactly.  A failed inner solve stops with reason "stagnation".
     """
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "lm")
@@ -386,8 +394,7 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
         def normal(w):  # G A^T A G w
             return g_diag * A.transpose_matvec(A.matvec(g_diag * w))
 
-        mu = _shift(n, delta)
-        s = _solve_shifted(normal, rhs, (mu, 2.0 * mu), cfg.inner_tol)
+        s = _solve_shifted(normal, rhs, (_shift(n, delta),), cfg.inner_tol)
         return None if s is None else it.x + s
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)

@@ -9,9 +9,10 @@ Geometry conventions (all lengths in pixel units):
   s * (cos t, sin t) with direction (-sin t, cos t), so offsets are measured
   perpendicular to the beam and the bundle is centered on the image;
 * matrix entry (ray, pixel) is the exact chord length of the ray inside the
-  pixel, found by walking the grid-line crossings; cells are half-open
-  (bottom/left edges inclusive), so a ray running exactly along an interior
-  grid line is charged to the cell above/right of it.
+  pixel, from the sorted grid-line crossings of all rays of an angle at once
+  (Siddon, Med. Phys. 1985); cells are half-open (bottom/left edges
+  inclusive), so a ray running exactly along an interior grid line is charged
+  to the cell above/right of it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import numpy as np
 
 from .linalg import SparseMatrix, as_vector
 
-_EMPTY_COLS = np.zeros(0, dtype=np.int64)
-_EMPTY_VALS = np.zeros(0, dtype=np.float64)
 _MIN_CHORD = 1e-12
 
 
@@ -120,22 +119,21 @@ def shepp_logan(m: int) -> np.ndarray:
     return img.ravel()
 
 
-def ray_cell_chords(m: int, point, direction):
-    """Chord lengths of one ray through the m x m grid.
+def ray_cell_chords(m: int, points, direction):
+    """Chord lengths of parallel rays through the m x m grid.
 
-    Parameters
-    ----------
-    point : pair of floats
-        Any point on the ray, image coordinates (origin at the center).
-    direction : pair of floats
-        Ray direction; need not be normalized.  Components smaller than
-        1e-12 in magnitude are snapped to zero so axis-aligned rays stay
-        exact under rotation round-off.
-
-    Returns
-    -------
-    (cols, lengths) : int and float arrays
-        Flat row-major pixel indices and the chord length in each.
+    points is a (k, 2) array with one point on each ray, image coordinates
+    (origin at the center); direction is the rays' shared direction, not
+    necessarily normalized, with components below 1e-12 in magnitude snapped
+    to zero so axis-aligned rays stay exact under rotation round-off.  Returns
+    (rays, cols, lengths): for each chord the index of its ray in points, its
+    flat row-major pixel index and its length, ray by ray and in order along
+    direction.  Row k of the one array pass holds ray k's entry and exit
+    parameters t_lo, t_hi and its grid-line crossings; crossings outside
+    (t_lo, t_hi), and t_lo of a ray that misses, become t_hi, so sorted rows
+    end in zero-length segments, which the chord-length floor drops.  A ray
+    parallel to an axis crosses no lines of it: if it runs outside the grid,
+    its cells fall outside the grid and the cell range check drops them.
     """
     h = 0.5 * m
     dx, dy = (float(c) for c in direction)
@@ -147,61 +145,45 @@ def ray_cell_chords(m: int, point, direction):
     if norm == 0.0:
         raise ValueError("ray direction must be nonzero")
     dx, dy = dx / norm, dy / norm
-    px, py = float(point[0]), float(point[1])
+    px, py = np.asarray(points, dtype=np.float64).T
 
-    t_lo, t_hi = -np.inf, np.inf
-    for coord, slope in ((px, dx), (py, dy)):
-        if slope == 0.0:
-            if not (-h <= coord < h):
-                return _EMPTY_COLS, _EMPTY_VALS
-        else:
-            t1 = (-h - coord) / slope
-            t2 = (h - coord) / slope
-            t_lo = max(t_lo, min(t1, t2))
-            t_hi = min(t_hi, max(t1, t2))
-    if not t_hi > t_lo:
-        return _EMPTY_COLS, _EMPTY_VALS
-
+    t_lo = np.full(px.shape, -np.inf)
+    t_hi = np.full(px.shape, np.inf)
     levels = np.arange(m + 1) - h
-    crossings = [np.array([t_lo, t_hi])]
+    crossings = []
     for coord, slope in ((px, dx), (py, dy)):
         if slope != 0.0:
-            tc = (levels - coord) / slope
-            crossings.append(tc[(tc > t_lo) & (tc < t_hi)])
-    ts = np.sort(np.concatenate(crossings))
-    lengths = np.diff(ts)
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    mx = px + mids * dx + h
-    my = py + mids * dy + h
-    ix = np.floor(mx).astype(np.int64)
-    iy = np.floor(my).astype(np.int64)
+            t1 = (-h - coord) / slope
+            t2 = (h - coord) / slope
+            t_lo = np.maximum(t_lo, np.minimum(t1, t2))
+            t_hi = np.minimum(t_hi, np.maximum(t1, t2))
+            crossings.append((levels - coord[:, None]) / slope)
+    t_lo = np.where(t_hi > t_lo, t_lo, t_hi)
+    tc = np.concatenate(crossings, axis=1)
+    tc = np.where((tc > t_lo[:, None]) & (tc < t_hi[:, None]), tc, t_hi[:, None])
+    ts = np.sort(np.column_stack((t_lo, t_hi, tc)), axis=1)
+    lengths = np.diff(ts, axis=1)
+    mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
+    ix = np.floor(px[:, None] + mids * dx + h).astype(np.int64)
+    iy = np.floor(py[:, None] + mids * dy + h).astype(np.int64)
     keep = (lengths > _MIN_CHORD) & (ix >= 0) & (ix < m) & (iy >= 0) & (iy < m)
-    rows_img = m - 1 - iy[keep]
-    return rows_img * m + ix[keep], lengths[keep]
+    return np.nonzero(keep)[0], (m - 1 - iy[keep]) * m + ix[keep], lengths[keep]
 
 
 def build_parallel_tomo(geom: TomoGeometry) -> SparseMatrix:
     """Assemble the projection matrix; ray (i, k) maps to row i * n_beams + k."""
-    m = geom.m
     offsets = geom.beam_offsets
-    counts = np.zeros(geom.n_rows, dtype=np.int64)
-    cols_parts = []
-    vals_parts = []
-    row = 0
+    counts, cols, vals = [], [], []
     for theta in np.deg2rad(geom.angles_deg):
         w = (np.cos(theta), np.sin(theta))
-        direction = (-w[1], w[0])
-        for s in offsets:
-            cols, vals = ray_cell_chords(m, (s * w[0], s * w[1]), direction)
-            counts[row] = cols.size
-            if cols.size:
-                cols_parts.append(cols)
-                vals_parts.append(vals)
-            row += 1
-    row_offsets = np.concatenate(([0], np.cumsum(counts)))
-    col_indices = np.concatenate(cols_parts) if cols_parts else _EMPTY_COLS
-    values = np.concatenate(vals_parts) if vals_parts else _EMPTY_VALS
-    return SparseMatrix(geom.n_rows, geom.n_cols, row_offsets, col_indices, values)
+        points = np.column_stack((offsets * w[0], offsets * w[1]))
+        rays, angle_cols, angle_vals = ray_cell_chords(geom.m, points, (-w[1], w[0]))
+        counts.append(np.bincount(rays, minlength=geom.n_beams))  # holds no ray indices
+        cols.append(angle_cols)
+        vals.append(angle_vals)
+    row_offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return SparseMatrix(geom.n_rows, geom.n_cols, row_offsets, np.concatenate(cols),
+                        np.concatenate(vals))
 
 
 def add_noise(y, model: NoiseModel):

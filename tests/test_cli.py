@@ -135,6 +135,14 @@ def test_flags_are_checked_like_the_file(tmp_path, config_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_verify_rejects_a_bad_seed_as_a_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
+
+
 def test_verify_passes(capsys):
     code = main(["verify", "--seed", "0"])
     out = capsys.readouterr().out

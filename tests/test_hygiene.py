@@ -1,16 +1,18 @@
-"""Source hygiene: every import in the package is used, and the README
-matches the knobs, config format and subcommands it documents."""
+"""Source hygiene: every import in the package is used, the README matches
+the knobs, config format and subcommands it documents, and the benchmark's
+tracer still finds every name it wraps."""
 
 import argparse
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
 
-from sparsenewton import parse_config
+from sparsenewton import ExperimentConfig, TomoGeometry, experiment, parse_config
 from sparsenewton.cli import build_parser
-from sparsenewton.solvers import SOLVER_KNOBS
+from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sparsenewton"
@@ -68,3 +70,20 @@ def test_readme_command_lines_name_exactly_the_subcommands():
     assert {line.split()[1] for line in lines} == set(subcommands)
     for line in lines:
         parser.parse_args(line.split()[1:])
+
+
+def test_every_benchmark_trace_wrapper_fires(tmp_path):
+    """perfbench/tracing.py wraps program names where the program looks them
+    up; a refactor that stops calling one of them must fail here too.  The
+    module is compiled from its text, so no bytecode is written beside it."""
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    tracer = tracing.Tracer()
+    patches, names = tracing.install(tracer)
+    try:
+        experiment.run_experiment(ExperimentConfig(TomoGeometry(8, 12, 10), list(SOLVER_NAMES),
+                                                   [0.01], out=str(tmp_path), timing="off"))
+    finally:
+        patches.restore()
+    assert [name for name in names if tracer.counts[name] == 0] == []

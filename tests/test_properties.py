@@ -1,12 +1,21 @@
-"""Property tests of the linear-algebra layer: the adjoint identity, CG on
-random SPD operators, and the norm estimate behind omega = "auto"."""
+"""Property tests: the adjoint identity, CG on random SPD operators and the
+norm estimate behind omega = "auto"; the identities of the substitution N and
+the bound on its smoothing N_eps; and the inclusive discrepancy boundary."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsenewton import SparseMatrix, cg_solve
+from sparsenewton import (
+    SparseMatrix,
+    TransformSpec,
+    apply_N,
+    apply_N_eps,
+    apply_N_inverse,
+    cg_solve,
+    check_discrepancy,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -68,3 +77,29 @@ def test_norm_estimate_stays_below_the_norm_and_its_one_inf_bound(data):
     # power iteration approaches ||A||_2 from below, and ||A||_2 <= sqrt(||A||_1 ||A||_inf)
     assert estimate <= np.linalg.norm(dense, 2) * (1 + 1e-12) + 1e-300
     assert estimate <= one_inf * (1 + 1e-12) + 1e-300
+
+
+# zero, or magnitudes whose squares neither underflow nor overflow
+components = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
+vectors = arrays(np.float64, st.integers(1, 20), elements=components)
+
+
+@PROPERTY_SETTINGS
+@given(x=vectors)
+def test_substitution_turns_squares_into_l1_and_inverts(x):
+    np.testing.assert_allclose(np.sum(np.abs(apply_N(x))), x @ x, rtol=1e-13)
+    np.testing.assert_allclose(apply_N_inverse(apply_N(x)), x, rtol=1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(x=vectors, eps=st.floats(1e-6, 10.0))
+def test_smoothing_stays_within_seven_thirds_eps(x, eps):
+    gap = np.linalg.norm(apply_N(x) - apply_N_eps(TransformSpec(eps), x))
+    assert gap <= (7.0 / 3.0) * eps * np.linalg.norm(x) * (1 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(tau=st.floats(1.0, 10.0, exclude_min=True), delta=st.floats(0.0, 1e6))
+def test_discrepancy_boundary_is_inclusive(tau, delta):
+    assert check_discrepancy(tau * delta, tau, delta)
+    assert not check_discrepancy(np.nextafter(tau * delta, np.inf), tau, delta)

@@ -281,13 +281,13 @@ def record_shifts(monkeypatch, op0):
     return shifts
 
 
-def test_lm_tries_the_schedule_shift_then_its_double(monkeypatch):
+def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch):
     x0, delta = np.array([1.0]), 0.5
     p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
     g = float(gradient_diag(TransformSpec(0.0), x0)[0])
     shifts = record_shifts(monkeypatch, g * g)  # G A^T A G at x0
     _, trace = run_levenberg_marquardt(p, SolverConfig(x0=x0), delta)
-    assert shifts == [delta, 2.0 * delta]
+    assert shifts == [delta]
     assert trace.stop_reason == "stagnation" and trace.n_star == 0
 
 
@@ -523,3 +523,8 @@ def test_solver_config_validation():
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"^{knob} must be finite, got {value!r}$"):
                 SolverConfig(**{knob: value})
+    for knob, value in (("omega", "fast"), ("omega", 1j), ("epsilon", "x"), ("tau", "1.5"),
+                        ("tau", "auto"), ("inner_tol", None), ("grad_tol", [0.1])):
+        message = f"^{knob} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{knob: value})

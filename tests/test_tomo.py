@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsenewton import (
     NoiseModel,
@@ -48,40 +50,40 @@ def test_noise_model_validation():
 
 
 def test_horizontal_ray_unit_chords():
-    cols, vals = ray_cell_chords(6, (0.0, 1.5), (1.0, 0.0))
+    _, cols, vals = ray_cell_chords(6, [(0.0, 1.5)], (1.0, 0.0))
     np.testing.assert_array_equal(np.sort(cols), [6, 7, 8, 9, 10, 11])
     np.testing.assert_array_equal(vals, np.ones(6))
 
 
 def test_diagonal_ray_chords():
-    cols, vals = ray_cell_chords(4, (0.0, 0.0), (1.0, 1.0))
+    _, cols, vals = ray_cell_chords(4, [(0.0, 0.0)], (1.0, 1.0))
     np.testing.assert_array_equal(cols, [12, 9, 6, 3])
     np.testing.assert_allclose(vals, ROOT2, rtol=1e-14)
 
 
 def test_ray_missing_the_grid():
-    cols, vals = ray_cell_chords(6, (0.0, 100.0), (1.0, 0.0))
+    _, cols, vals = ray_cell_chords(6, [(0.0, 100.0)], (1.0, 0.0))
     assert cols.size == 0 and vals.size == 0
 
 
 def test_tiny_direction_component_is_snapped():
-    cols, vals = ray_cell_chords(4, (0.0, 1.5), (1.0, 1e-15))
+    _, cols, vals = ray_cell_chords(4, [(0.0, 1.5)], (1.0, 1e-15))
     np.testing.assert_array_equal(np.sort(cols), [0, 1, 2, 3])
     np.testing.assert_array_equal(vals, np.ones(4))
 
 
 def test_edge_rays_follow_half_open_convention():
     # top edge y = +h excluded, bottom edge y = -h included
-    cols, _ = ray_cell_chords(4, (0.0, 2.0), (1.0, 0.0))
+    _, cols, _ = ray_cell_chords(4, [(0.0, 2.0)], (1.0, 0.0))
     assert cols.size == 0
-    cols, vals = ray_cell_chords(4, (0.0, -2.0), (1.0, 0.0))
+    _, cols, vals = ray_cell_chords(4, [(0.0, -2.0)], (1.0, 0.0))
     np.testing.assert_array_equal(np.sort(cols), [12, 13, 14, 15])
     np.testing.assert_array_equal(vals, np.ones(4))
 
 
 def test_zero_direction_rejected():
     with pytest.raises(ValueError, match="nonzero"):
-        ray_cell_chords(4, (0.0, 0.0), (0.0, 0.0))
+        ray_cell_chords(4, [(0.0, 0.0)], (0.0, 0.0))
 
 
 def test_projection_rows_match_single_rays():
@@ -90,11 +92,76 @@ def test_projection_rows_match_single_rays():
     for i, theta in enumerate(np.deg2rad(g.angles_deg)):
         w = (np.cos(theta), np.sin(theta))
         for k, s in enumerate(g.beam_offsets):
-            cols, vals = ray_cell_chords(g.m, (s * w[0], s * w[1]), (-w[1], w[0]))
+            _, cols, vals = ray_cell_chords(g.m, [(s * w[0], s * w[1])], (-w[1], w[0]))
             row = i * g.n_beams + k
             lo, hi = A.row_offsets[row], A.row_offsets[row + 1]
             np.testing.assert_array_equal(A.col_indices[lo:hi], cols)
             np.testing.assert_array_equal(A.values[lo:hi], vals)
+
+
+def reference_chords(m, point, direction):
+    """One ray walked on its own, as the projector was first built; the
+    bundled ray_cell_chords must give each ray exactly these arrays."""
+    h = 0.5 * m
+    dx, dy = (float(c) for c in direction)
+    if abs(dx) < 1e-12:
+        dx = 0.0
+    if abs(dy) < 1e-12:
+        dy = 0.0
+    norm = np.hypot(dx, dy)
+    dx, dy = dx / norm, dy / norm
+    px, py = float(point[0]), float(point[1])
+    empty = np.zeros(0, dtype=np.int64), np.zeros(0)
+
+    t_lo, t_hi = -np.inf, np.inf
+    for coord, slope in ((px, dx), (py, dy)):
+        if slope == 0.0:
+            if not (-h <= coord < h):
+                return empty
+        else:
+            t1 = (-h - coord) / slope
+            t2 = (h - coord) / slope
+            t_lo = max(t_lo, min(t1, t2))
+            t_hi = min(t_hi, max(t1, t2))
+    if not t_hi > t_lo:
+        return empty
+
+    levels = np.arange(m + 1) - h
+    crossings = [np.array([t_lo, t_hi])]
+    for coord, slope in ((px, dx), (py, dy)):
+        if slope != 0.0:
+            tc = (levels - coord) / slope
+            crossings.append(tc[(tc > t_lo) & (tc < t_hi)])
+    ts = np.sort(np.concatenate(crossings))
+    lengths = np.diff(ts)
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    ix = np.floor(px + mids * dx + h).astype(np.int64)
+    iy = np.floor(py + mids * dy + h).astype(np.int64)
+    keep = (lengths > 1e-12) & (ix >= 0) & (ix < m) & (iy >= 0) & (iy < m)
+    return (m - 1 - iy[keep]) * m + ix[keep], lengths[keep]
+
+
+# direction components: unit-scale, exactly zero, or below the 1e-12 snap
+components = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.just(0.0),
+                       st.floats(-1e-12, 1e-12, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 9), direction=st.tuples(components, components),
+       points=st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+                       min_size=1, max_size=6),
+       on_grid_lines=st.booleans())
+def test_bundled_rays_match_the_one_ray_reference(m, direction, points, on_grid_lines):
+    if max(abs(c) for c in direction) < 1e-12:
+        direction = (1.0, direction[1])  # a zero direction is rejected
+    if on_grid_lines:  # points on grid lines and the image edges
+        points = [(round(x) + (0.5 * m) % 1, round(y) + (0.5 * m) % 1) for x, y in points]
+    rays, cols, vals = ray_cell_chords(m, points, direction)
+    assert np.all(np.diff(rays) >= 0)
+    for k, point in enumerate(points):
+        want_cols, want_vals = reference_chords(m, point, direction)
+        np.testing.assert_array_equal(cols[rays == k], want_cols)
+        np.testing.assert_array_equal(vals[rays == k], want_vals)
 
 
 def test_projection_entry_and_row_sum_bounds():
