@@ -41,7 +41,6 @@ from .tomo import (
     TomoGeometry,
     add_noise,
     build_parallel_tomo,
-    make_instance,
     ray_cell_chords,
     shepp_logan,
     write_pgm,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: solve (one solver, one noise level), sweep (full solver x noise
-grid) and verify (built-in self checks).  Flags override the corresponding
-config values.
+Subcommands: sweep (the solver x noise grid, or one solver and one noise
+level with --solver and --noise) and verify (built-in self checks).  Flags
+override the corresponding config values.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ def _seed(text) -> int:
     return int(text)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--seed", type=int, help="base seed (overrides the config)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsenewton",
@@ -36,14 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run one solver at one noise level")
-    _add_common(p)
-    p.add_argument("--solver", required=True, choices=SOLVER_NAMES)
-    p.add_argument("--noise", type=float, help="relative noise level (default: first configured)")
-    p.add_argument("--threads", type=int, default=1)
-
     p = sub.add_parser("sweep", help="run the full solver x noise sweep")
-    _add_common(p)
+    p.add_argument("--config", required=True, help="experiment config file")
+    p.add_argument("--out", help="output directory (overrides the config)")
+    p.add_argument("--seed", type=int, help="base seed (overrides the config)")
     p.add_argument("--solver", choices=SOLVER_NAMES, help="restrict to one solver")
     p.add_argument("--noise", type=float, help="restrict to one noise level")
     p.add_argument("--threads", type=int, default=1)
@@ -57,15 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     """The parsed config with the flags applied; the flags go through the
-    same ExperimentConfig checks as the file.  solve keeps one noise level:
-    --noise, else the first configured."""
+    same ExperimentConfig checks as the file.  --solver and --noise each
+    restrict the sweep to the one value given."""
     config = parse_config(args.config)
-    noise = args.noise
-    if noise is None and args.command == "solve":
-        noise = config.noise_levels[0]
-    changes = {"out": args.out, "seed": args.seed, "timing": getattr(args, "timing", None),
+    changes = {"out": args.out, "seed": args.seed, "timing": args.timing,
                "solvers": None if args.solver is None else [args.solver],
-               "noise_levels": None if noise is None else [noise]}
+               "noise_levels": None if args.noise is None else [args.noise]}
     try:
         return replace(config, **{key: value for key, value in changes.items()
                                   if value is not None})
@@ -86,7 +73,7 @@ def _cmd_run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("solve", "sweep"):
+        if args.command == "sweep":
             return _cmd_run(args)
         if args.command == "verify":
             return 0 if selfcheck.run_all(args.seed) else 1

@@ -65,6 +65,8 @@ def _check_field(key, value):
     if key == "geometry" and not isinstance(value, TomoGeometry):
         raise ValueError(f"geometry must be a TomoGeometry, got {value!r}")
     if key == "solvers":
+        if np.ndim(value) != 1:
+            raise ValueError(f"solvers must be a list of solver names, got {value!r}")
         if not value:
             raise ValueError("solvers must list at least one solver")
         for name in value:

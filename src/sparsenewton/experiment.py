@@ -102,7 +102,7 @@ def build_instances(config: ExperimentConfig):
         for rep in range(config.repetitions):
             seed = noise_seed_for(config.seed, li, rep)
             y_delta, delta = add_noise(y, NoiseModel(level, seed))
-            instances[(li, rep)] = ProblemInstance(config.geometry, A, x_true, y, y_delta, delta)
+            instances[(li, rep)] = ProblemInstance(A, x_true, y, y_delta, delta)
     return instances
 
 

@@ -240,6 +240,9 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
         return point, check_discrepancy(residual, cfg.tau, delta)
 
     point, met = record(0, x)
+    if not met and spec is not None and spec.epsilon == 0.0 and not point.x.any():
+        raise ValueError("no step leaves x = 0 at epsilon = 0, where the Jacobian 2|x| "
+                         "vanishes; use warm_start > 0, a nonzero x0 or epsilon > 0")
     reason = STOP_DISCREPANCY if met else STOP_MAX_ITER
     flat = 0  # consecutive rows with relative functional change < STAGNATION_RTOL
     for n in range(0 if met else cfg.max_iter):

@@ -17,9 +17,7 @@ Geometry conventions (all lengths in pixel units):
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -81,7 +79,6 @@ class NoiseModel:
 
 @dataclass
 class ProblemInstance:
-    geometry: TomoGeometry
     A: SparseMatrix
     x_true: np.ndarray
     y: np.ndarray
@@ -89,14 +86,21 @@ class ProblemInstance:
     delta: float
 
 
-@lru_cache(maxsize=1)
-def _ellipse_table() -> np.ndarray:
-    ref = importlib.resources.files("sparsenewton").joinpath("data/shepp_logan.csv")
-    with ref.open("rb") as fh:
-        table = np.loadtxt(fh, delimiter=",", comments="#")
-    if table.shape != (10, 6):
-        raise RuntimeError(f"phantom table has shape {table.shape}, expected (10, 6)")
-    return table
+# Shepp-Logan head phantom, the standard (not contrast-enhanced) 10 ellipses:
+# density, semi-axes a and b, center x and y in the square [-1, 1]^2, and
+# rotation in degrees.
+SHEPP_LOGAN_ELLIPSES = (
+    (2.0, 0.69, 0.92, 0.0, 0.0, 0.0),
+    (-0.98, 0.6624, 0.8740, 0.0, -0.0184, 0.0),
+    (-0.02, 0.1100, 0.3100, 0.22, 0.0, -18.0),
+    (-0.02, 0.1600, 0.4100, -0.22, 0.0, 18.0),
+    (0.01, 0.2100, 0.2500, 0.0, 0.35, 0.0),
+    (0.01, 0.0460, 0.0460, 0.0, 0.1, 0.0),
+    (0.02, 0.0460, 0.0460, 0.0, -0.1, 0.0),
+    (0.01, 0.0460, 0.0230, -0.08, -0.605, 0.0),
+    (0.01, 0.0230, 0.0230, 0.0, -0.606, 0.0),
+    (0.01, 0.0230, 0.0460, 0.06, -0.605, 0.0),
+)
 
 
 def shepp_logan(m: int) -> np.ndarray:
@@ -110,7 +114,7 @@ def shepp_logan(m: int) -> np.ndarray:
     centers = (np.arange(m) + 0.5) * (2.0 / m) - 1.0
     xg, yg = np.meshgrid(centers, -centers)  # row 0 on top
     img = np.zeros((m, m))
-    for density, a, b, x0, y0, phi_deg in _ellipse_table():
+    for density, a, b, x0, y0, phi_deg in SHEPP_LOGAN_ELLIPSES:
         phi = np.deg2rad(phi_deg)
         dx, dy = xg - x0, yg - y0
         xr = dx * np.cos(phi) + dy * np.sin(phi)
@@ -196,15 +200,6 @@ def add_noise(y, model: NoiseModel):
     r /= np.linalg.norm(r)
     delta = model.rel_level * float(np.linalg.norm(y))
     return y + delta * r, delta
-
-
-def make_instance(geom: TomoGeometry, noise: NoiseModel) -> ProblemInstance:
-    """Phantom, projection matrix and noisy sinogram for one experiment cell."""
-    A = build_parallel_tomo(geom)
-    x_true = shepp_logan(geom.m)
-    y = A.matvec(x_true)
-    y_delta, delta = add_noise(y, noise)
-    return ProblemInstance(geom, A, x_true, y, y_delta, delta)
 
 
 def write_pgm(path, image, m: int):

@@ -41,7 +41,7 @@ def test_sweep_seed_changes_noise(tmp_path, config_path, capsys):
 
 def test_solve_single_solver(tmp_path, config_path, capsys):
     out = tmp_path / "solve"
-    code = main(["solve", "--config", str(config_path), "--solver", "ista",
+    code = main(["sweep", "--config", str(config_path), "--solver", "ista",
                  "--noise", "0.1", "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -49,16 +49,6 @@ def test_solve_single_solver(tmp_path, config_path, capsys):
     assert lines[1].startswith("ista,0.1,")
     assert lines[2] == f"results written to {out}"
     assert (out / "summary.csv").exists()
-
-
-def test_solve_without_noise_runs_the_first_configured_level(tmp_path, config_path, capsys):
-    out = tmp_path / "solve"
-    code = main(["solve", "--config", str(config_path), "--solver", "lm", "--out", str(out)])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 0
-    assert len(lines) == 3
-    assert lines[1].startswith("lm,0.1,")
-    assert (out / "summary.csv").read_text().count("\nlm,") == 1
 
 
 def test_sweep_full_grid(tmp_path, config_path, capsys):
@@ -123,7 +113,7 @@ def test_invalid_config_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("command,flags,message", [
     ("sweep", ["--noise", "-0.5"], "noise levels must be >= 0 and finite, got -0.5"),
     ("sweep", ["--noise", "nan"], "noise levels must be >= 0 and finite, got nan"),
-    ("solve", ["--solver", "ista", "--noise", "inf"],
+    ("sweep", ["--solver", "ista", "--noise", "inf"],
      "noise levels must be >= 0 and finite, got inf"),
     ("sweep", ["--seed", "-3"], "seed must be >= 0, got -3"),
 ])

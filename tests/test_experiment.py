@@ -83,6 +83,10 @@ def test_build_instances_shares_the_matrix():
     instances = build_instances(cfg)
     assert len(instances) == 4
     assert instances[(0, 0)].A is instances[(1, 1)].A
+    for inst in instances.values():
+        np.testing.assert_array_equal(inst.y, inst.A.matvec(inst.x_true))
+    assert instances[(0, 0)].delta == pytest.approx(0.1 * np.linalg.norm(instances[(0, 0)].y),
+                                                    rel=1e-15)
     # same level, different rep: same magnitude, different direction
     assert instances[(0, 0)].delta == instances[(0, 1)].delta
     diff = np.linalg.norm(instances[(0, 0)].y_delta - instances[(0, 1)].y_delta)
@@ -142,6 +146,20 @@ def test_timing_off_is_reproducible(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_criterion_8_holds_at_other_base_seeds(tmp_path, seed):
+    # the acceptance sweep's config, whose criterion 8 runs at seed 0 only
+    cfg = ExperimentConfig(TomoGeometry(32, 60, 45), list(SOLVER_NAMES), [0.05, 0.1, 0.2], 1,
+                           seed, str(tmp_path / "run"), "off")
+    errors = {}
+    for row in run_experiment(cfg):
+        solver, noise, *_, rel_error = row.split(",")
+        errors[(solver, float(noise))] = float(rel_error)
+    first_order = min(errors[(name, 0.1)] for name in ("ista", "fista", "gd"))
+    assert errors[("newton", 0.1)] <= first_order + 0.02
+    assert errors[("lm", 0.1)] <= first_order + 0.02
+
+
 def test_colliding_noise_levels_raise_before_any_file_is_written(tmp_path):
     out = tmp_path / "collide"
     with pytest.raises(ValueError, match="0.1 and 0.1000000001 would write the same files"):
@@ -189,6 +207,7 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
     ({"solver_overrides": {"ista": {"tau": "1.5"}}}, "tau must be a number, got '1.5'"),
     ({"noise_levels": 0.1}, "noise_levels must be a list of numbers, got 0.1"),
     ({"noise_levels": ["0.1"]}, "noise levels must be >= 0 and finite, got '0.1'"),
+    ({"solvers": "ista"}, "solvers must be a list of solver names, got 'ista'"),
 ])
 def test_config_built_in_code_checks_every_field(tmp_path, changes, message):
     fields = {"geometry": GEOM, "solvers": ["ista"], "out": str(tmp_path / "out"), **changes}

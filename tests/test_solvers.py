@@ -15,19 +15,21 @@ from sparsenewton import (
     SparseMatrix,
     TomoGeometry,
     TransformSpec,
+    add_noise,
     apply_N_inverse,
     back_transform,
+    build_parallel_tomo,
     check_discrepancy,
     eta_eps,
     grad_J,
     gradient_diag,
     hessian_operator,
-    make_instance,
     run_fista,
     run_gradient_descent,
     run_ista,
     run_levenberg_marquardt,
     run_newton,
+    shepp_logan,
     soft_threshold,
 )
 from sparsenewton import solvers
@@ -206,11 +208,25 @@ def test_gradient_descent_scalar_descends_to_grid_minimum():
 
 
 def test_gradient_descent_zero_gradient_stagnates():
+    # with the zero operator x = 0 is stationary for J_eps too
     p = ProblemData(zero_operator(2), np.ones(2), 1.0)
-    x, trace = run_gradient_descent(p, SolverConfig(), 0.0)
+    x, trace = run_gradient_descent(p, SolverConfig(epsilon=0.01), 0.0)
     np.testing.assert_array_equal(x, np.zeros(2))
     assert trace.n_star == 0
     assert trace.stop_reason == "stagnation"
+
+
+@pytest.mark.parametrize("runner", [run_gradient_descent, run_levenberg_marquardt])
+def test_unsmoothed_start_at_zero_is_an_error(runner):
+    # the Jacobian 2|x| vanishes at x = 0, so no step could leave it
+    rng = np.random.default_rng(3)
+    A, y, delta = conditioned_instance(rng, noise=0.05)
+    with pytest.raises(ValueError, match="no step leaves x = 0 at epsilon = 0.*warm_start.*x0"):
+        runner(ProblemData(A, y, 0.01), SolverConfig(), delta)
+    # a warm start or a smoothed transform moves as before
+    for cfg in (SolverConfig(warm_start=5, max_iter=3), SolverConfig(epsilon=0.01, max_iter=3)):
+        x, _ = runner(ProblemData(A, y, 0.01), cfg, delta)
+        assert x.any()
 
 
 def test_levenberg_marquardt_scalar_step():
@@ -408,9 +424,10 @@ def test_each_iterate_image_is_computed_once(name, monkeypatch):
 
 def gd_sweep_cell():
     """A small tomography cell at 1% noise with the sweep's GD knobs."""
-    inst = make_instance(TomoGeometry(12, 18, 16), NoiseModel(0.01, 0))
-    cfg, alpha = make_solver_config("gd", {}, inst.delta, inst.y_delta)
-    return ProblemData(inst.A, inst.y_delta, alpha), cfg, inst.delta
+    A = build_parallel_tomo(TomoGeometry(12, 18, 16))
+    y_delta, delta = add_noise(A.matvec(shepp_logan(12)), NoiseModel(0.01, 0))
+    cfg, alpha = make_solver_config("gd", {}, delta, y_delta)
+    return ProblemData(A, y_delta, alpha), cfg, delta
 
 
 def test_bb_step_is_the_long_step_clipped_and_one_without_positive_curvature():

@@ -1,5 +1,7 @@
 """Geometry, ray tracing, phantom, noise and file formats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from sparsenewton import (
     TomoGeometry,
     add_noise,
     build_parallel_tomo,
-    make_instance,
     ray_cell_chords,
     shepp_logan,
     write_pgm,
@@ -188,6 +189,16 @@ def test_phantom_values():
     assert img.min() >= 0.0 and img.max() <= 2.0
 
 
+@pytest.mark.parametrize("m,digest", [
+    (32, "4e9b3c7928d55cfbfdc5ff38b654f80fd03cca88be5a930ca99a59b5a09ff6ff"),
+    (51, "f6fdc7635de6e8822d41a9eb3d8081aa832d56f95cda04e4fac50a79707e52b0"),
+    (64, "59de7bb33b3eeb89fc58d16cf0d870445a1372cabb391fb63a26dd8b8ab74b55"),
+])
+def test_phantom_bytes_are_pinned(m, digest):
+    # every float of the ellipse table, and so every pixel, stays bit-for-bit
+    assert hashlib.sha256(shepp_logan(m).tobytes()).hexdigest() == digest
+
+
 def test_phantom_is_mostly_zero():
     img = shepp_logan(50)
     assert np.count_nonzero(img) == 1244  # under half of 2500
@@ -243,8 +254,3 @@ def test_write_pgm_constant_image(tmp_path):
     pixels = [int(v) for line in path.read_text().splitlines()[3:] for v in line.split()]
     assert pixels == [0] * 16
 
-
-def test_instance_roundtrip():
-    inst = make_instance(TomoGeometry(8, 4, 10), NoiseModel(0.1, seed=3))
-    np.testing.assert_array_equal(inst.y, inst.A.matvec(inst.x_true))
-    assert inst.delta == pytest.approx(0.1 * np.linalg.norm(inst.y), rel=1e-15)
