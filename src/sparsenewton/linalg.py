@@ -4,6 +4,11 @@ Vectors are plain 1-D float64 numpy arrays.  Matrices are stored once in CSR
 form; transpose products are evaluated as a scatter pass over the same three
 arrays (via the CSC view, which shares memory), so no transposed copy is ever
 materialized.
+
+``cg_solve`` is the one CG of the package.  Without a radius it solves a
+symmetric positive definite system; with a radius it is Steihaug's truncated
+CG for the trust-region model q(s) = 1/2 s^T H s - b^T s, which stops on the
+sphere ||s|| = radius instead of failing on non-positive curvature.
 """
 
 from __future__ import annotations
@@ -143,12 +148,21 @@ class SparseMatrix:
 
 @dataclass
 class CGResult:
-    """Outcome of a conjugate-gradient solve: ``x`` is the iterate with the
-    smallest residual norm seen in ``iterations`` iterations."""
+    """Outcome of a conjugate-gradient solve.
+
+    ``x`` is the iterate with the smallest residual norm seen in
+    ``iterations`` iterations, or the point where a solve with a radius
+    stopped on the sphere ||x|| = radius (then ``on_boundary``).
+    ``converged`` says that the residual test was met or that the solve
+    stopped on that sphere.  ``model`` is q(x) = 1/2 x^T A x - b^T x, built
+    from the solve's own scalars without another operator product.
+    """
 
     x: np.ndarray
     converged: bool
     iterations: int
+    model: float
+    on_boundary: bool
 
 
 # Recurrence residuals drift; recompute b - A x this often.
@@ -156,48 +170,67 @@ _CG_RECOMPUTE_EVERY = 50
 
 
 def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10,
-             max_iter: Optional[int] = None) -> CGResult:
-    """Solve ``apply_op(x) = b`` for a symmetric positive definite operator.
+             max_iter: Optional[int] = None, radius: Optional[float] = None) -> CGResult:
+    """Solve ``apply_op(x) = b``, or minimize q(x) = 1/2 x^T A x - b^T x
+    inside the ball ||x|| <= radius.
 
     Parameters
     ----------
     apply_op : callable
-        Matrix-free application of the operator.
+        Matrix-free application of the symmetric operator A.
     b : array
         Right-hand side.
     tol : float
         Relative tolerance; stop once the residual norm is <= tol * ||b||.
     max_iter : int, optional
         Defaults to ``2 * len(b)``.
+    radius : float, optional
+        Trust-region radius (Steihaug, SIAM J. Numer. Anal. 1983; Nocedal and
+        Wright, Algorithm 7.2).  When a direction p has p^T(Ap) <= 0, or the
+        next iterate would leave the ball, the solve returns the point where
+        the current iterate plus a nonnegative multiple of p meets the sphere
+        ||x|| = radius.  Otherwise it stops as without a radius, and a ball
+        that no iterate leaves gives the same result.
 
     Raises
     ------
     CurvatureError
-        If some direction p has p^T(Ap) <= 0, naming the iteration.
+        Without a radius, if some direction p has p^T(Ap) <= 0, naming the
+        iteration.  With a radius it is never raised.
     """
     b = as_vector(b)
     n = b.size
     if max_iter is None:
         max_iter = 2 * n
+    if radius is not None and not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
     b_norm = float(np.linalg.norm(b))
     x = np.zeros(n)
     if b_norm == 0.0:
-        return CGResult(x, True, 0)
+        return CGResult(x, True, 0, 0.0, False)
     target = tol * b_norm
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
+    q = 0.0  # the model at x: q(x + tau p) = q(x) - tau r^T p + tau^2 p^T A p / 2
     best_norm = float(np.sqrt(rs))
-    best_x = x.copy()
+    best_x, best_q = x.copy(), q
     k = 0
     while k < max_iter and best_norm > target:
         Ap = apply_op(p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if pAp <= 0.0 and radius is None:
             raise CurvatureError(k)
+        rp = float(r @ p)
+        k += 1
+        if radius is not None:
+            pp, xp = float(p @ p), float(x @ p)  # tau >= 0 puts x + tau p on the sphere
+            tau = (np.sqrt(xp * xp - pp * (float(x @ x) - radius * radius)) - xp) / pp
+            if pAp <= 0.0 or rs >= tau * pAp:  # the CG step rs / pAp would leave the ball
+                return CGResult(x + tau * p, True, k, q - tau * rp + 0.5 * tau * tau * pAp, True)
         step = rs / pAp
         x = x + step * p
-        k += 1
+        q += step * (0.5 * step * pAp - rp)
         if k % _CG_RECOMPUTE_EVERY == 0:
             r = b - apply_op(x)
         else:
@@ -206,7 +239,7 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         res_norm = float(np.sqrt(rs_new))
         if res_norm < best_norm:
             best_norm = res_norm
-            best_x = x.copy()
+            best_x, best_q = x.copy(), q
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return CGResult(best_x, best_norm <= target, k)
+    return CGResult(best_x, best_norm <= target, k, best_q, False)

@@ -168,6 +168,105 @@ def test_cg_max_iter_returns_best_iterate():
     np.testing.assert_allclose(result.x, step * d, rtol=1e-15)
 
 
+def reference_cg(apply_op, b, tol=1e-10, max_iter=None):
+    """The CG loop without the radius option, kept as the reference that
+    radius-free solves and solves in a ball no iterate leaves must equal."""
+    n = b.size
+    max_iter = 2 * n if max_iter is None else max_iter
+    x = np.zeros(n)
+    target = tol * np.linalg.norm(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    best_norm, best_x = float(np.sqrt(rs)), x.copy()
+    k = 0
+    while k < max_iter and best_norm > target:
+        Ap = apply_op(p)
+        step = rs / float(p @ Ap)
+        x = x + step * p
+        k += 1
+        r = b - apply_op(x) if k % 50 == 0 else r - step * Ap
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) < best_norm:
+            best_norm, best_x = float(np.sqrt(rs_new)), x.copy()
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return best_x, best_norm <= target, k
+
+
+def spd_cases():
+    """(operator, b, cg_solve keywords): the SPD solves of the tests above,
+    and one long enough to recompute its residual."""
+    rng = np.random.default_rng(3)
+    dense, A = random_sparse(rng, 20, 20, density=0.8)
+    g = np.abs(rng.standard_normal(20)) + 0.1
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 30)))
+    M = q @ np.diag(np.random.default_rng(5).uniform(1.0, 10.0, 30)) @ q.T
+    d = np.geomspace(1.0, 1e4, 120)
+    return [
+        (lambda v: v, np.array([1.0, 2.0, 3.0]), {}),
+        (lambda v: np.array([1.0, 4.0]) * v, np.array([1.0, 4.0]), {}),
+        (lambda v: g * A.transpose_matvec(A.matvec(g * v)) + 0.05 * v,
+         rng.standard_normal(20), {"tol": 1e-12}),
+        (lambda v: M @ v, rng.standard_normal(30), {"tol": 0.0, "max_iter": 30}),
+        (lambda v: np.array([1.0, 4.0]) * v, np.array([1.0, 4.0]), {"max_iter": 1}),
+        (lambda v: d * v, np.ones(120), {"tol": 1e-12}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(spd_cases())))
+def test_cg_without_a_radius_or_in_a_wide_ball_matches_the_reference(case):
+    op, b, kwargs = spd_cases()[case]
+    want_x, want_converged, want_iterations = reference_cg(op, b, **kwargs)
+    for radius in (None, 1e100):
+        result = cg_solve(op, b, radius=radius, **kwargs)
+        np.testing.assert_array_equal(result.x, want_x)
+        assert (result.converged, result.iterations) == (want_converged, want_iterations)
+        assert not result.on_boundary
+    assert case < len(spd_cases()) - 1 or want_iterations > 50  # the recompute path ran
+
+
+def quadratic(H, b, x):
+    return 0.5 * x @ H @ x - b @ x
+
+
+def test_cg_with_a_radius_stops_on_the_sphere_at_non_positive_curvature():
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    H = (q * np.linspace(-1.0, 3.0, 12)) @ q.T
+    b = rng.standard_normal(12)
+    with pytest.raises(CurvatureError):
+        cg_solve(lambda v: H @ v, b)
+    for radius in (0.3, 5.0, 1e3):
+        result = cg_solve(lambda v: H @ v, b, radius=radius)
+        assert result.on_boundary and result.converged
+        assert abs(np.linalg.norm(result.x) - radius) <= 1e-12 * radius
+        assert result.model == pytest.approx(quadratic(H, b, result.x), rel=1e-10)
+    # curvature met on the first direction b: the step is b scaled to the sphere
+    result = cg_solve(lambda v: np.array([1.0, -1.0]) * v, np.array([1.0, 1.0]), radius=2.0)
+    np.testing.assert_allclose(result.x, [np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-15)
+    assert result.iterations == 1
+
+
+@pytest.mark.parametrize("radius, on_boundary", [(1e3, False), (0.05, True)])
+def test_cg_model_value_matches_the_quadratic(radius, on_boundary):
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    H = (q * np.geomspace(1.0, 100.0, 30)) @ q.T
+    b = rng.standard_normal(30)
+    result = cg_solve(lambda v: H @ v, b, tol=1e-12, radius=radius)
+    assert result.on_boundary == on_boundary and result.converged
+    assert result.model == pytest.approx(quadratic(H, b, result.x), rel=1e-10)
+    if on_boundary:
+        assert abs(np.linalg.norm(result.x) - radius) <= 1e-12 * radius
+
+
+def test_cg_rejects_a_radius_that_is_not_positive():
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            cg_solve(lambda v: v, np.ones(2), radius=radius)
+
+
 def test_as_vector_rejects_bad_input():
     with pytest.raises(ValueError, match="1-D"):
         as_vector(np.zeros((2, 2)))

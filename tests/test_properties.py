@@ -1,6 +1,7 @@
-"""Property tests: the adjoint identity, CG on random SPD operators and the
-norm estimate behind omega = "auto"; the identities of the substitution N and
-the bound on its smoothing N_eps; and the inclusive discrepancy boundary."""
+"""Property tests: the adjoint identity, CG on random SPD operators, CG in a
+trust region on random symmetric ones and the norm estimate behind omega =
+"auto"; the identities of the substitution N and the bound on its smoothing
+N_eps; and the inclusive discrepancy boundary."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -66,6 +67,21 @@ def test_cg_reaches_tol_on_random_spd_operators(n, seed, condition, tol):
     # the recurrence residual CG stops on tracks the true one to rounding
     residual = np.linalg.norm(H @ result.x - b)
     assert residual <= tol * np.linalg.norm(b) + 1e-12 * condition * np.linalg.norm(b)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), lowest=st.floats(-1.0, 1.0),
+       radius=st.floats(1e-3, 1e3))
+def test_cg_in_a_ball_stays_in_it_and_lowers_the_model(n, seed, lowest, radius):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (q * np.linspace(lowest, 2.0, n)) @ q.T  # indefinite when lowest < 0
+    b = rng.standard_normal(n)
+    result = cg_solve(lambda v: H @ v, b, tol=1e-8, radius=radius)
+    assert np.linalg.norm(result.x) <= radius * (1 + 1e-12)
+    assert result.model < 0.0
+    direct = 0.5 * result.x @ H @ result.x - b @ result.x
+    assert abs(result.model - direct) <= 1e-9 * (abs(direct) + radius * np.linalg.norm(b))
 
 
 @PROPERTY_SETTINGS

@@ -307,15 +307,85 @@ def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch
     assert trace.stop_reason == "stagnation" and trace.n_star == 0
 
 
-def test_newton_tries_the_hessian_then_doubles_from_the_schedule_shift(monkeypatch):
-    x0, delta = np.array([1.0]), 0.5
+def record_trials(monkeypatch):
+    """Wrap the solvers' CG and point evaluation; returns the log of
+    ("cg", radius, right-hand side, CGResult) and ("eval", J_eps) entries."""
+    log = []
+    cg, evaluate = solvers.cg_solve, solvers._evaluate
+
+    def recording_cg(op, b, **kwargs):
+        result = cg(op, b, **kwargs)
+        log.append(("cg", kwargs.get("radius"), b, result))
+        return result
+
+    def recording_evaluate(*args):
+        point = evaluate(*args)
+        log.append(("eval", point.f))
+        return point
+
+    monkeypatch.setattr(solvers, "cg_solve", recording_cg)
+    monkeypatch.setattr(solvers, "_evaluate", recording_evaluate)
+    return log
+
+
+def test_newton_radius_quarters_on_a_rejected_step_and_doubles_on_a_good_boundary_step(
+        monkeypatch):
+    # 1x1, from x0 = -3 towards the minimizer near +2: the iterate crosses the
+    # smoothing band around 0, where a step inside the ball is rejected
+    log = record_trials(monkeypatch)
     p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
-    H = hessian_operator(p, x0, TransformSpec(0.01))
-    shifts = record_shifts(monkeypatch, float(H(np.ones(1))[0]))
-    _, trace = run_newton(p, SolverConfig(epsilon=0.01, x0=x0), delta)
-    assert shifts == pytest.approx([0.0] + [delta * 2.0 ** j for j in range(60)],
-                                   rel=1e-12, abs=1e-12)
-    assert trace.stop_reason == "stagnation" and trace.n_star == 0
+    _, trace = run_newton(p, SolverConfig(epsilon=0.5, x0=np.array([-3.0])), 0.5)
+    assert trace.stop_reason == "discrepancy"
+    (_, f), *rest = log  # row 0, then each trial: its solve and its evaluation
+    trials = [(cg[1], cg[2], cg[3], ev[1]) for cg, ev in zip(rest[::2], rest[1::2])]
+    assert trials[0][0] == solvers.TR_RADIUS_START * 3.0
+    seen, accepted = [], 0
+    for (radius, b, result, trial_f), (next_radius, next_b, *_) in zip(trials, trials[1:]):
+        rho = (f - trial_f) / -result.model
+        if rho < 0.25:
+            assert next_radius == 0.25 * abs(result.x[0])  # of the step, not of the ball
+            seen.append("quarter" if result.on_boundary else "quarter inside")
+        elif rho > 0.75 and result.on_boundary:
+            assert next_radius == 2.0 * radius
+            seen.append("double")
+        else:
+            assert next_radius == radius
+        if rho > 1e-4:
+            f, accepted = trial_f, accepted + 1
+        else:  # rejected: the same system is solved again in the smaller ball
+            np.testing.assert_array_equal(next_b, b)
+            seen.append("reject")
+    assert {"quarter inside", "double", "reject"} <= set(seen)
+    assert accepted + 1 == trace.n_star  # the loop leaves out the last, accepted trial
+
+
+def test_newton_cold_start_takes_the_cauchy_length_as_first_radius(monkeypatch):
+    rng = np.random.default_rng(7)
+    A, y, delta = conditioned_instance(rng, noise=0.05)
+    p = ProblemData(A, y, 0.02)
+    log = record_trials(monkeypatch)
+    cfg = SolverConfig(epsilon=1e-3, warm_start=0, max_iter=50)
+    _, trace = run_newton(p, cfg, delta)
+    assert trace.stop_reason == "discrepancy"
+    zero, spec = np.zeros(A.n_cols), TransformSpec(1e-3)
+    g = grad_J(p, zero, spec)
+    cauchy = np.linalg.norm(g) ** 3 / (g @ hessian_operator(p, zero, spec)(g))
+    assert log[1][1] == pytest.approx(cauchy, rel=1e-12)
+    assert_trace_consistent(trace, cfg.tau, delta)
+
+
+def test_newton_stops_at_the_minimizer_once_the_predicted_decrease_is_round_off(
+        monkeypatch):
+    rng = np.random.default_rng(0)
+    A, y, _ = conditioned_instance(rng)
+    log = record_trials(monkeypatch)
+    cfg = SolverConfig(epsilon=1e-3, warm_start=25, inner_tol=1e-14, max_iter=200)
+    _, trace = run_newton(ProblemData(A, y, 0.04), cfg, 0.0)  # delta = 0: no discrepancy stop
+    solves = [entry[3] for entry in log if entry[0] == "cg"]
+    assert trace.stop_reason == "stagnation" and trace.n_star < 10
+    assert -solves[-1].model <= np.finfo(float).eps * trace.functionals[-1]
+    # not MAX_BACKTRACKS trials whose rho is rounding noise
+    assert len(solves) <= trace.n_star + 3
 
 
 def test_newton_meets_discrepancy_on_noisy_instance():

@@ -1,6 +1,7 @@
 """Geometry, ray tracing, phantom, noise and file formats."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sparsenewton import (
     shepp_logan,
     write_pgm,
 )
+from sparsenewton import tomo
 
 ROOT2 = np.sqrt(2.0)
 
@@ -170,6 +172,25 @@ def test_projection_entry_and_row_sum_bounds():
     assert A.values.max() <= ROOT2 * (1 + 1e-12)
     row_sums = A.matvec(np.ones(A.n_cols))
     assert row_sums.max() <= 16.0 * ROOT2
+
+
+def test_projector_refuses_a_geometry_over_the_nonzero_limit_before_allocating(monkeypatch):
+    A = build_parallel_tomo(TomoGeometry(32, 60, 45))
+    assert A.nnz <= 60 * 45 * 65  # the bound the limit is checked against
+    tracemalloc.start()
+    try:
+        for geom in (TomoGeometry(10**6, 180, 180),
+                     TomoGeometry(np.int32(10**6), np.int32(180), np.int32(180))):
+            with pytest.raises(ValueError, match=r"^m = 1000000 .* 64800032400 nonzeros, "
+                                                 r"over the limit of 50000000$"):
+                build_parallel_tomo(geom)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(tomo, "MAX_NNZ_BOUND", 2 * 3 * 9)  # at the limit builds, over it not
+    assert build_parallel_tomo(TomoGeometry(4, 2, 3)).nnz <= tomo.MAX_NNZ_BOUND
+    with pytest.raises(ValueError, match="m = 4 with 3 angles and 3 beams may need 81"):
+        build_parallel_tomo(TomoGeometry(4, 3, 3))
 
 
 def test_projection_mass_consistency():
