@@ -50,9 +50,6 @@ from .transform import (
     apply_N,
     apply_N_eps,
     apply_N_inverse,
-    eta_eps,
-    eta_eps_d1,
-    eta_eps_d2,
     gradient_diag,
     hessian_diag,
 )

@@ -37,19 +37,17 @@ TRACE_HEADER = "iter,residual,functional,rel_error,wall_s"
 ALPHA_COEFF = 0.01
 
 
-def resolve_alpha(value, delta: float, y_delta) -> float:
-    """"auto" (or unset) regularization weight: ALPHA_COEFF * delta, or a
-    small multiple of ||y_delta|| in the noise-free case."""
-    return resolve_auto(value, ALPHA_COEFF, delta, y_delta)
-
-
 def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
-    """Knobs for one sweep cell; returns (SolverConfig, regularization weight)."""
+    """Knobs for one sweep cell; returns (SolverConfig, regularization weight).
+
+    An "auto" (or unset) weight is ALPHA_COEFF * delta, or a small multiple
+    of ||y_delta|| in the noise-free case (see resolve_auto).
+    """
     if name not in RUNNERS:
         raise ValueError(f"unknown solver '{name}'; available: {', '.join(SOLVER_NAMES)}")
     opts = {key: methods[name] for key, (_, methods) in SOLVER_KNOBS.items() if name in methods}
     opts.update(overrides)
-    alpha = resolve_alpha(opts.pop("alpha", None), delta, y_delta)
+    alpha = resolve_auto(opts.pop("alpha", None), ALPHA_COEFF, delta, y_delta)
     return SolverConfig(**opts), alpha
 
 

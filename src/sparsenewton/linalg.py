@@ -8,7 +8,9 @@ materialized.
 ``cg_solve`` is the one CG of the package.  Without a radius it solves a
 symmetric positive definite system; with a radius it is Steihaug's truncated
 CG for the trust-region model q(s) = 1/2 s^T H s - b^T s, which stops on the
-sphere ||s|| = radius instead of failing on non-positive curvature.
+sphere ||s|| = radius instead of failing on non-positive curvature.  Either
+way it returns the point it stopped at, its last iterate, whose model value
+is the lowest it reached.
 """
 
 from __future__ import annotations
@@ -150,12 +152,13 @@ class SparseMatrix:
 class CGResult:
     """Outcome of a conjugate-gradient solve.
 
-    ``x`` is the iterate with the smallest residual norm seen in
-    ``iterations`` iterations, or the point where a solve with a radius
-    stopped on the sphere ||x|| = radius (then ``on_boundary``).
+    ``x`` is the iterate the solve stopped at after ``iterations``
+    iterations: the last CG iterate, or the point where a solve with a
+    radius stopped on the sphere ||x|| = radius (then ``on_boundary``).
     ``converged`` says that the residual test was met or that the solve
     stopped on that sphere.  ``model`` is q(x) = 1/2 x^T A x - b^T x, built
-    from the solve's own scalars without another operator product.
+    from the solve's own scalars without another operator product; it falls
+    at every iteration.
     """
 
     x: np.ndarray
@@ -167,6 +170,8 @@ class CGResult:
 
 # Recurrence residuals drift; recompute b - A x this often.
 _CG_RECOMPUTE_EVERY = 50
+# The largest radius whose square is a finite float.
+_RADIUS_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10,
@@ -183,14 +188,17 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
     tol : float
         Relative tolerance; stop once the residual norm is <= tol * ||b||.
     max_iter : int, optional
-        Defaults to ``2 * len(b)``.
+        Defaults to ``2 * len(b)``.  A solve that reaches it returns its last
+        iterate, the one with the lowest model value, unconverged.
     radius : float, optional
         Trust-region radius (Steihaug, SIAM J. Numer. Anal. 1983; Nocedal and
-        Wright, Algorithm 7.2).  When a direction p has p^T(Ap) <= 0, or the
-        next iterate would leave the ball, the solve returns the point where
-        the current iterate plus a nonnegative multiple of p meets the sphere
-        ||x|| = radius.  Otherwise it stops as without a radius, and a ball
-        that no iterate leaves gives the same result.
+        Wright, Algorithm 7.2), positive and at most sqrt of the largest
+        float, so that its square is finite.  When a direction p has
+        p^T(Ap) <= 0, or the next iterate would leave the ball, the solve
+        returns the point where the current iterate plus a nonnegative
+        multiple of p meets the sphere ||x|| = radius.  Otherwise it stops as
+        without a radius, and a ball that no iterate leaves gives the same
+        result.
 
     Raises
     ------
@@ -202,8 +210,9 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
     n = b.size
     if max_iter is None:
         max_iter = 2 * n
-    if radius is not None and not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    if radius is not None and not 0.0 < radius <= _RADIUS_MAX:
+        raise ValueError(f"radius must be positive and at most {_RADIUS_MAX:.6g}, "
+                         f"got {radius!r}")
     b_norm = float(np.linalg.norm(b))
     x = np.zeros(n)
     if b_norm == 0.0:
@@ -212,11 +221,9 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    q = 0.0  # the model at x: q(x + tau p) = q(x) - tau r^T p + tau^2 p^T A p / 2
-    best_norm = float(np.sqrt(rs))
-    best_x, best_q = x.copy(), q
+    q = 0.0  # the model at x: q(x + tau p) = q(x) + tau (tau p^T A p / 2 - r^T p)
     k = 0
-    while k < max_iter and best_norm > target:
+    while k < max_iter and float(np.sqrt(rs)) > target:
         Ap = apply_op(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0 and radius is None:
@@ -227,7 +234,7 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
             pp, xp = float(p @ p), float(x @ p)  # tau >= 0 puts x + tau p on the sphere
             tau = (np.sqrt(xp * xp - pp * (float(x @ x) - radius * radius)) - xp) / pp
             if pAp <= 0.0 or rs >= tau * pAp:  # the CG step rs / pAp would leave the ball
-                return CGResult(x + tau * p, True, k, q - tau * rp + 0.5 * tau * tau * pAp, True)
+                return CGResult(x + tau * p, True, k, q + tau * (0.5 * tau * pAp - rp), True)
         step = rs / pAp
         x = x + step * p
         q += step * (0.5 * step * pAp - rp)
@@ -236,10 +243,6 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         else:
             r = r - step * Ap
         rs_new = float(r @ r)
-        res_norm = float(np.sqrt(rs_new))
-        if res_norm < best_norm:
-            best_norm = res_norm
-            best_x, best_q = x.copy(), q
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return CGResult(best_x, best_norm <= target, k, best_q, False)
+    return CGResult(x, float(np.sqrt(rs)) <= target, k, q, False)

@@ -155,14 +155,11 @@ def resolve_auto(value, coeff: float, delta: float, y_delta) -> float:
     return 1e-8 * float(np.linalg.norm(y_delta))
 
 
-def resolve_epsilon(cfg: SolverConfig, delta: float, y_delta, default) -> float:
-    """cfg.epsilon, or the method's default when unset; "auto" is 1e-4 * delta."""
-    return resolve_auto(default if cfg.epsilon is None else cfg.epsilon, 1e-4, delta, y_delta)
-
-
 def _transform_spec(cfg: SolverConfig, delta: float, y_delta, method: str) -> TransformSpec:
-    default = SOLVER_KNOBS["epsilon"][1][method]
-    return TransformSpec(resolve_epsilon(cfg, delta, y_delta, default))
+    """The method's transform: cfg.epsilon, or the method's default when
+    unset; "auto" is 1e-4 * delta."""
+    epsilon = SOLVER_KNOBS["epsilon"][1][method] if cfg.epsilon is None else cfg.epsilon
+    return TransformSpec(resolve_auto(epsilon, 1e-4, delta, y_delta))
 
 
 def _shift(n: int, delta: float) -> float:
@@ -214,22 +211,21 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
              x_true, callback, timer):
     """The outer loop of every method; returns (x, trace).
 
-    step(n, point) maps the _Point of row n to the next iterate, or to its
-    _Point when a line search or a trust-region trial already evaluated it,
-    or to None when the method cannot move (stop reason "stagnation").  spec
-    is None on the original variable and the transform on the substituted
-    one.  Each row is evaluated once, by _evaluate, here or in the step.
+    step(n, point) maps the _Point of row n to a _Point or None: the next
+    iterate as _evaluate built it (for GD and Newton, the one their line
+    search or trust-region trial accepted), or None when the method cannot
+    move (stop reason "stagnation").  spec is None on the original variable
+    and the transform on the substituted one.  Each row is evaluated once.
     Wall times count from before the initial point, so row 0's includes the
     warm start.
     """
     y = p.y_delta
     t0 = timer()
-    x = _initial_point(p, cfg, delta, transformed=spec is not None)
+    point = _evaluate(p, spec, _initial_point(p, cfg, delta, transformed=spec is not None))
     x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
     trace = IterationTrace(spec=spec)
 
-    def record(n, nxt):
-        point = nxt if isinstance(nxt, _Point) else _evaluate(p, spec, nxt)
+    def record(n, point):  # appends row n; True when point meets the discrepancy stop
         residual = float(np.linalg.norm(point.Fx - y))
         if x_true is None:
             rel = float("nan")
@@ -243,9 +239,9 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
         trace.wall_times.append(timer() - t0)
         if callback is not None:
             callback(n, point.x)
-        return point, check_discrepancy(residual, cfg.tau, delta)
+        return check_discrepancy(residual, cfg.tau, delta)
 
-    point, met = record(0, x)
+    met = record(0, point)
     if not met and spec is not None and spec.epsilon == 0.0 and not point.x.any():
         raise ValueError("no step leaves x = 0 at epsilon = 0, where the Jacobian 2|x| "
                          "vanishes; use warm_start > 0, a nonzero x0 or epsilon > 0")
@@ -256,10 +252,9 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
         if nxt is None:
             reason = STOP_STAGNATION
             break
-        _check_finite(nxt.x if isinstance(nxt, _Point) else nxt)
-        prev_f = point.f
-        point, met = record(n + 1, nxt)
-        if met:
+        _check_finite(nxt.x)
+        prev_f, point = point.f, nxt
+        if record(n + 1, point):
             reason = STOP_DISCREPANCY
             break
         if abs(prev_f - point.f) < STAGNATION_RTOL * max(1.0, abs(prev_f)):
@@ -297,7 +292,8 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
 
     def step(n, it):
         omega = _resolve_omega(A, cfg)  # in the step, so wall_s covers the power method
-        return soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), p.alpha * omega)
+        x = soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), p.alpha * omega)
+        return _evaluate(p, None, x)
 
     return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 
@@ -322,7 +318,8 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
         z = it.x + momentum * (it.x - prev.x)
         Az = it.Fx + momentum * (it.Fx - prev.Fx)  # exact by linearity
         prev = it
-        return soft_threshold(z - omega * A.transpose_matvec(Az - y), p.alpha * omega)
+        x = soft_threshold(z - omega * A.transpose_matvec(Az - y), p.alpha * omega)
+        return _evaluate(p, None, x)
 
     return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 
@@ -392,7 +389,7 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
             result = cg_solve(lambda w: normal(w) + mu * w, rhs, tol=cfg.inner_tol)
         except CurvatureError:
             return None
-        return it.x + result.x if result.converged else None
+        return _evaluate(p, spec, it.x + result.x) if result.converged else None
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 

@@ -10,6 +10,11 @@ whenever second derivatives are needed:
                    tau^2 + eps^2/3           tau > eps
 
 The blend matches value, slope and curvature at the knots tau = +-eps.
+
+Every map acts componentwise on arrays: ``apply_N`` is eta, ``apply_N_eps``
+is eta_eps, ``gradient_diag`` is eta_eps' (eta' = 2|tau| at eps = 0),
+``hessian_diag`` is eta_eps'' times a weight vector, and ``apply_N_inverse``
+inverts eta.
 """
 
 from __future__ import annotations
@@ -35,43 +40,6 @@ def _require_smooth(spec: TransformSpec, what: str):
         raise ValueError(f"{what} requires epsilon > 0")
 
 
-def _shaped(raw, like):
-    arr = np.asarray(like)
-    return raw if arr.ndim else float(raw)
-
-
-def eta_eps(spec: TransformSpec, tau):
-    """Smoothed transform; odd in tau, so computed from |tau|.
-
-    At |tau| == eps the cubic branch applies; both branches agree there.
-    """
-    _require_smooth(spec, "eta_eps")
-    eps = spec.epsilon
-    t = np.asarray(tau, dtype=np.float64)
-    u = np.abs(t)
-    inner = u * u * u / (3.0 * eps) + eps * u
-    outer = u * u + eps * eps / 3.0
-    return _shaped(np.sign(t) * np.where(u <= eps, inner, outer), t)
-
-
-def eta_eps_d1(spec: TransformSpec, tau):
-    """First derivative of eta_eps: tau^2/eps + eps inside, 2|tau| outside (even)."""
-    _require_smooth(spec, "eta_eps_d1")
-    eps = spec.epsilon
-    t = np.asarray(tau, dtype=np.float64)
-    u = np.abs(t)
-    return _shaped(np.where(u <= eps, u * u / eps + eps, 2.0 * u), t)
-
-
-def eta_eps_d2(spec: TransformSpec, tau):
-    """Second derivative of eta_eps: 2 tau/eps inside, 2 sign(tau) outside (odd)."""
-    _require_smooth(spec, "eta_eps_d2 (exact transform is not twice differentiable)")
-    eps = spec.epsilon
-    t = np.asarray(tau, dtype=np.float64)
-    u = np.abs(t)
-    return _shaped(np.sign(t) * np.where(u <= eps, 2.0 * u / eps, 2.0), t)
-
-
 def apply_N(x) -> np.ndarray:
     """Exact transform applied componentwise; ||apply_N(x)||_1 == ||x||_2^2."""
     x = np.asarray(x, dtype=np.float64)
@@ -79,9 +47,15 @@ def apply_N(x) -> np.ndarray:
 
 
 def apply_N_eps(spec: TransformSpec, x) -> np.ndarray:
-    """Smoothed transform applied componentwise."""
+    """Smoothed transform eta_eps applied componentwise; odd, so computed
+    from |x|.  At |x_k| == eps the cubic branch applies; both agree there."""
     _require_smooth(spec, "apply_N_eps")
-    return np.asarray(eta_eps(spec, np.asarray(x, dtype=np.float64)))
+    eps = spec.epsilon
+    x = np.asarray(x, dtype=np.float64)
+    u = np.abs(x)
+    inner = u * u * u / (3.0 * eps) + eps * u
+    outer = u * u + eps * eps / 3.0
+    return np.sign(x) * np.where(u <= eps, inner, outer)
 
 
 def apply_N_inverse(x) -> np.ndarray:
@@ -91,22 +65,27 @@ def apply_N_inverse(x) -> np.ndarray:
 
 
 def gradient_diag(spec: TransformSpec, x) -> np.ndarray:
-    """Diagonal of the transform Jacobian at x.
+    """Diagonal of the transform Jacobian at x: eta_eps'(x_k), that is
+    x_k^2/eps + eps inside [-eps, eps] and 2|x_k| outside.
 
     With epsilon == 0 this is 2|x_k| (the exact transform is C^1); with
     epsilon > 0 every entry is at least eps, so the Jacobian is invertible.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if spec.epsilon == 0.0:
-        return 2.0 * np.abs(x)
-    return np.asarray(eta_eps_d1(spec, x))
+    eps = spec.epsilon
+    u = np.abs(np.asarray(x, dtype=np.float64))
+    if eps == 0.0:
+        return 2.0 * u
+    return np.where(u <= eps, u * u / eps + eps, 2.0 * u)
 
 
 def hessian_diag(spec: TransformSpec, x, w) -> np.ndarray:
-    """Diagonal of the second-derivative action: entries eta_eps''(x_k) * w_k."""
+    """Diagonal of the second-derivative action: entries eta_eps''(x_k) * w_k,
+    with eta_eps'' = 2 x_k/eps inside [-eps, eps] and 2 sign(x_k) outside."""
     _require_smooth(spec, "hessian_diag (exact transform is not twice differentiable)")
+    eps = spec.epsilon
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.shape != w.shape:
         raise ValueError(f"x has shape {x.shape} but w has shape {w.shape}")
-    return np.asarray(eta_eps_d2(spec, x)) * w
+    u = np.abs(x)
+    return np.sign(x) * np.where(u <= eps, 2.0 * u / eps, 2.0) * w

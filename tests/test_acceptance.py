@@ -22,11 +22,10 @@ from sparsenewton import (
     apply_N_eps,
     back_transform,
     build_parallel_tomo,
-    eta_eps,
-    eta_eps_d1,
-    eta_eps_d2,
     eval_J,
     grad_J,
+    gradient_diag,
+    hessian_diag,
     hessian_operator,
     run_experiment,
     run_fista,
@@ -141,13 +140,13 @@ def test_criterion_03_smoothness_at_the_knots():
         eps = float(rng.uniform(0.5, 5.0))
         spec = TransformSpec(eps)
         h = 1e-6 * max(1.0, eps)
-        for knot in (eps, -eps):
-            fd1 = (eta_eps(spec, knot + h) - eta_eps(spec, knot - h)) / (2 * h)
-            worst_d1 = max(worst_d1, abs(fd1 - eta_eps_d1(spec, knot))
-                           / abs(eta_eps_d1(spec, knot)))
-            fd2 = (eta_eps_d1(spec, knot + h) - eta_eps_d1(spec, knot - h)) / (2 * h)
-            worst_d2 = max(worst_d2, abs(fd2 - eta_eps_d2(spec, knot))
-                           / abs(eta_eps_d2(spec, knot)))
+        knots = np.array([eps, -eps])
+        fd1 = (apply_N_eps(spec, knots + h) - apply_N_eps(spec, knots - h)) / (2 * h)
+        d1 = gradient_diag(spec, knots)
+        worst_d1 = max(worst_d1, np.max(np.abs(fd1 - d1) / np.abs(d1)))
+        fd2 = (gradient_diag(spec, knots + h) - gradient_diag(spec, knots - h)) / (2 * h)
+        d2 = hessian_diag(spec, knots, np.ones(2))
+        worst_d2 = max(worst_d2, np.max(np.abs(fd2 - d2) / np.abs(d2)))
     print(f"\nd1 rel {worst_d1:.3e}, d2 rel {worst_d2:.3e} (both <= 1e-6)")
     assert worst_d1 <= 1e-6
     assert worst_d2 <= 1e-6

@@ -15,7 +15,6 @@ from sparsenewton.experiment import (
     build_instances,
     make_solver_config,
     noise_seed_for,
-    resolve_alpha,
 )
 from sparsenewton.solvers import RUNNERS, SOLVER_KNOBS, SOLVER_NAMES
 
@@ -23,9 +22,12 @@ GEOM = TomoGeometry(12, 6, 14)
 
 
 def test_resolve_alpha():
-    assert resolve_alpha(0.5, 2.0, np.ones(4)) == 0.5
-    assert resolve_alpha("auto", 2.0, np.ones(4)) == pytest.approx(0.02)
-    assert resolve_alpha("auto", 0.0, np.full(4, 2.0)) == pytest.approx(4e-8)
+    def alpha(overrides, delta, y):
+        return make_solver_config("ista", overrides, delta, y)[1]
+
+    assert alpha({"alpha": 0.5}, 2.0, np.ones(4)) == 0.5
+    assert alpha({"alpha": "auto"}, 2.0, np.ones(4)) == pytest.approx(0.02)
+    assert alpha({}, 0.0, np.full(4, 2.0)) == pytest.approx(4e-8)
 
 
 def test_make_solver_config_defaults(tmp_path):

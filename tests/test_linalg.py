@@ -1,5 +1,7 @@
 """Sparse matrix products, adjoint consistency and the CG inner solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -157,20 +159,31 @@ def test_cg_zero_rhs():
     assert result.iterations == 0
 
 
-def test_cg_max_iter_returns_best_iterate():
+def test_cg_max_iter_returns_the_last_iterate_and_its_model():
     d = np.array([1.0, 4.0])
     result = cg_solve(lambda v: d * v, d, max_iter=1)
     assert not result.converged
     assert result.iterations == 1
-    # one step along b from x = 0 is the best the solve saw, so it is returned
-    assert np.linalg.norm(d * result.x - d) < np.linalg.norm(d)
     step = (d @ d) / (d @ (d * d))
     np.testing.assert_allclose(result.x, step * d, rtol=1e-15)
+    # CG lowers the model at every iteration, so a capped solve's last
+    # iterate is its best point, even where its residual norm has risen
+    d = np.geomspace(1.0, 1e4, 120)
+    b = np.ones(120)
+    models = []
+    for k in range(1, 241):
+        result = cg_solve(lambda v: d * v, b, tol=1e-12, max_iter=k)
+        assert result.iterations == k
+        direct = 0.5 * result.x @ (d * result.x) - b @ result.x
+        assert abs(result.model - direct) <= 1e-12 * max(1.0, abs(result.model))
+        models.append(result.model)
+    assert all(b < a for a, b in zip(models, models[1:]))
 
 
 def reference_cg(apply_op, b, tol=1e-10, max_iter=None):
     """The CG loop without the radius option, kept as the reference that
-    radius-free solves and solves in a ball no iterate leaves must equal."""
+    radius-free solves and solves in a ball no iterate leaves must equal;
+    returns the last iterate."""
     n = b.size
     max_iter = 2 * n if max_iter is None else max_iter
     x = np.zeros(n)
@@ -178,20 +191,17 @@ def reference_cg(apply_op, b, tol=1e-10, max_iter=None):
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    best_norm, best_x = float(np.sqrt(rs)), x.copy()
     k = 0
-    while k < max_iter and best_norm > target:
+    while k < max_iter and np.sqrt(rs) > target:
         Ap = apply_op(p)
         step = rs / float(p @ Ap)
         x = x + step * p
         k += 1
         r = b - apply_op(x) if k % 50 == 0 else r - step * Ap
         rs_new = float(r @ r)
-        if np.sqrt(rs_new) < best_norm:
-            best_norm, best_x = float(np.sqrt(rs_new)), x.copy()
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return best_x, best_norm <= target, k
+    return x, np.sqrt(rs) <= target, k
 
 
 def spd_cases():
@@ -261,10 +271,21 @@ def test_cg_model_value_matches_the_quadratic(radius, on_boundary):
         assert abs(np.linalg.norm(result.x) - radius) <= 1e-12 * radius
 
 
+@pytest.mark.filterwarnings("error")
 def test_cg_rejects_a_radius_that_is_not_positive():
-    for radius in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="radius must be positive"):
-            cg_solve(lambda v: v, np.ones(2), radius=radius)
+    # nor one whose square overflows, which would make the model value NaN
+    for radius in (0.0, -1.0, float("nan"), 1e200, np.inf):
+        with pytest.raises(ValueError, match="radius must be positive.*" + re.escape(repr(radius))):
+            cg_solve(lambda v: np.array([1.0, -1.0]) * v, np.array([1.0, 1.0]), radius=radius)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cg_boundary_model_stays_finite_at_a_huge_radius():
+    # tau is about 7e155 here, so tau^2 alone would overflow
+    result = cg_solve(lambda v: np.array([1.0, -1.0]) * v, np.array([1e-3, 1e-3]),
+                      radius=1e153)
+    assert result.on_boundary
+    assert np.isfinite(result.model) and result.model == pytest.approx(-2.17e289, rel=1e-3)
 
 
 def test_as_vector_rejects_bad_input():

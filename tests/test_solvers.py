@@ -20,7 +20,7 @@ from sparsenewton import (
     back_transform,
     build_parallel_tomo,
     check_discrepancy,
-    eta_eps,
+    apply_N_eps,
     grad_J,
     gradient_diag,
     hessian_operator,
@@ -34,7 +34,7 @@ from sparsenewton import (
 )
 from sparsenewton import solvers
 from sparsenewton.experiment import make_solver_config
-from sparsenewton.solvers import RUNNERS, resolve_epsilon
+from sparsenewton.solvers import RUNNERS, _transform_spec
 
 ONE_BY_ONE = SparseMatrix.from_dense(np.array([[1.0]]))
 
@@ -264,7 +264,7 @@ def test_newton_scalar_matches_grid_search():
                        inner_tol=1e-14, max_iter=100)
     x, trace = run_newton(p, cfg, 0.0)
     grid = np.linspace(0.5, 1.5, 2_000_001)
-    values = (np.asarray(eta_eps(TransformSpec(0.01), grid)) - 1.0) ** 2 \
+    values = (apply_N_eps(TransformSpec(0.01), grid) - 1.0) ** 2 \
         + 0.1 * grid**2
     assert abs(x[0] - grid[np.argmin(values)]) <= 1e-6
     assert trace.stop_reason == "stagnation"
@@ -582,10 +582,11 @@ def test_wall_time_covers_the_norm_estimate(name, monkeypatch):
 
 def test_resolve_epsilon_rules():
     y = np.ones(4) * 2.0  # norm 4
-    assert resolve_epsilon(SolverConfig(epsilon=0.3), 1.0, y, default=0.0) == 0.3
-    assert resolve_epsilon(SolverConfig(), 1.0, y, default=0.0) == 0.0
-    assert resolve_epsilon(SolverConfig(), 2.0, y, default="auto") == 2e-4
-    assert resolve_epsilon(SolverConfig(epsilon="auto"), 0.0, y, default=0.0) \
+    # gd and lm default to 0.0, newton to "auto"
+    assert _transform_spec(SolverConfig(epsilon=0.3), 1.0, y, "gd").epsilon == 0.3
+    assert _transform_spec(SolverConfig(), 1.0, y, "gd").epsilon == 0.0
+    assert _transform_spec(SolverConfig(), 2.0, y, "newton").epsilon == 2e-4
+    assert _transform_spec(SolverConfig(epsilon="auto"), 0.0, y, "lm").epsilon \
         == pytest.approx(4e-8, rel=1e-12)
 
 

@@ -8,9 +8,6 @@ from sparsenewton import (
     apply_N,
     apply_N_eps,
     apply_N_inverse,
-    eta_eps,
-    eta_eps_d1,
-    eta_eps_d2,
     gradient_diag,
     hessian_diag,
 )
@@ -25,65 +22,63 @@ def test_eta_values():
 
 def test_eta_eps_values():
     one = TransformSpec(1.0)
-    assert eta_eps(one, 0.0) == 0.0
-    assert eta_eps(one, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    # knot value equals the outer branch limit
-    assert eta_eps(one, 1.0) == pytest.approx(1.0 + 1.0 / 3.0, rel=1e-15)
-    assert eta_eps(TransformSpec(0.1), 2.0) == pytest.approx(4.0 + 0.01 / 3.0, rel=1e-15)
+    # the knot value 4/3 equals the outer branch limit 1 + 1/3
+    np.testing.assert_allclose(apply_N_eps(one, np.array([0.0, 1.0, -1.0])),
+                               [0.0, 4.0 / 3.0, -(1.0 + 1.0 / 3.0)], rtol=1e-15)
+    np.testing.assert_allclose(apply_N_eps(TransformSpec(0.1), np.array([2.0])),
+                               [4.0 + 0.01 / 3.0], rtol=1e-15)
 
 
 def test_eta_eps_odd_d1_even():
     rng = np.random.default_rng(2)
     spec = TransformSpec(0.3)
     tau = rng.standard_normal(200) * 2.0
-    np.testing.assert_allclose(eta_eps(spec, -tau), -np.asarray(eta_eps(spec, tau)),
+    np.testing.assert_allclose(apply_N_eps(spec, -tau), -apply_N_eps(spec, tau), rtol=1e-15)
+    np.testing.assert_allclose(gradient_diag(spec, -tau), gradient_diag(spec, tau),
                                rtol=1e-15)
-    np.testing.assert_allclose(eta_eps_d1(spec, -tau), eta_eps_d1(spec, tau),
-                               rtol=1e-15)
-    np.testing.assert_allclose(eta_eps_d2(spec, -tau), -np.asarray(eta_eps_d2(spec, tau)),
+    ones = np.ones_like(tau)
+    np.testing.assert_allclose(hessian_diag(spec, -tau, ones), -hessian_diag(spec, tau, ones),
                                rtol=1e-15)
 
 
 def test_eta_eps_d1_values():
-    assert eta_eps_d1(TransformSpec(1.0), 0.0) == 1.0
-    assert eta_eps_d1(TransformSpec(1.0), 1.0) == 2.0
-    assert eta_eps_d1(TransformSpec(1.0), -1.0) == 2.0
-    assert eta_eps_d1(TransformSpec(0.5), 0.25) == pytest.approx(0.625, rel=1e-15)
+    np.testing.assert_array_equal(gradient_diag(TransformSpec(1.0), np.array([0.0, 1.0, -1.0])),
+                                  [1.0, 2.0, 2.0])
+    np.testing.assert_allclose(gradient_diag(TransformSpec(0.5), np.array([0.25])), [0.625],
+                               rtol=1e-15)
 
 
 def test_eta_eps_d1_positive_floor():
     rng = np.random.default_rng(4)
     for eps in (1e-3, 0.2, 2.0):
         tau = rng.standard_normal(500) * 3.0
-        d1 = np.asarray(eta_eps_d1(TransformSpec(eps), tau))
-        assert np.all(d1 >= eps)
+        assert np.all(gradient_diag(TransformSpec(eps), tau) >= eps)
 
 
 def test_eta_eps_d2_values():
-    assert eta_eps_d2(TransformSpec(1.0), 0.0) == 0.0
-    assert eta_eps_d2(TransformSpec(1.0), 1.0) == 2.0
-    assert eta_eps_d2(TransformSpec(2.0), -3.0) == -2.0
+    # hessian_diag with unit weights is eta_eps'' itself
+    np.testing.assert_array_equal(
+        hessian_diag(TransformSpec(1.0), np.array([0.0, 1.0]), np.ones(2)), [0.0, 2.0])
+    np.testing.assert_array_equal(
+        hessian_diag(TransformSpec(2.0), np.array([-3.0]), np.ones(1)), [-2.0])
 
 
 def test_smoothness_at_knots():
     # central differences across both knots agree with the closed forms
     spec = TransformSpec(0.7)
     h = 1e-6
-    for knot in (0.7, -0.7):
-        fd1 = (eta_eps(spec, knot + h) - eta_eps(spec, knot - h)) / (2 * h)
-        assert fd1 == pytest.approx(eta_eps_d1(spec, knot), rel=1e-6)
-        fd2 = (eta_eps_d1(spec, knot + h) - eta_eps_d1(spec, knot - h)) / (2 * h)
-        assert fd2 == pytest.approx(eta_eps_d2(spec, knot), rel=1e-6)
+    knots = np.array([0.7, -0.7])
+    fd1 = (apply_N_eps(spec, knots + h) - apply_N_eps(spec, knots - h)) / (2 * h)
+    np.testing.assert_allclose(fd1, gradient_diag(spec, knots), rtol=1e-6)
+    fd2 = (gradient_diag(spec, knots + h) - gradient_diag(spec, knots - h)) / (2 * h)
+    np.testing.assert_allclose(fd2, hessian_diag(spec, knots, np.ones(2)), rtol=1e-6)
 
 
 def test_exact_transform_rejects_second_derivative():
     zero = TransformSpec(0.0)
-    with pytest.raises(ValueError, match="epsilon > 0"):
-        eta_eps(zero, 1.0)
-    with pytest.raises(ValueError, match="epsilon > 0"):
-        eta_eps_d1(zero, 1.0)
-    with pytest.raises(ValueError, match="not twice differentiable"):
-        eta_eps_d2(zero, 1.0)
+    # the exact transform is C^1: its Jacobian is 2|x|, with no smoothing floor
+    x = np.array([1.0, -3.0, 0.0])
+    np.testing.assert_array_equal(gradient_diag(zero, x), [2.0, 6.0, 0.0])
     with pytest.raises(ValueError, match="not twice differentiable"):
         hessian_diag(zero, np.ones(2), np.ones(2))
     with pytest.raises(ValueError, match="epsilon > 0"):
