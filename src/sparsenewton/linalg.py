@@ -5,12 +5,14 @@ form; transpose products are evaluated as a scatter pass over the same three
 arrays (via the CSC view, which shares memory), so no transposed copy is ever
 materialized.
 
-``cg_solve`` is the one CG of the package.  Without a radius it solves a
-symmetric positive definite system; with a radius it is Steihaug's truncated
-CG for the trust-region model q(s) = 1/2 s^T H s - b^T s, which stops on the
-sphere ||s|| = radius instead of failing on non-positive curvature.  Either
-way it returns the point it stopped at, its last iterate, whose model value
-is the lowest it reached.
+``cg_solve`` is the one CG of the package, with two options that exclude
+each other.  Without either it solves a symmetric positive definite system.
+With ``diagonal=`` it is Jacobi-preconditioned CG on the same system, still
+stopping on the unpreconditioned residual.  With ``radius=`` it is Steihaug's
+truncated CG for the trust-region model q(s) = 1/2 s^T H s - b^T s, which
+stops on the sphere ||s|| = radius instead of failing on non-positive
+curvature.  In every case it returns the point it stopped at, its last
+iterate, whose model value is the lowest it reached.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains NaN or infinite entries")
     return v
+
+
+# Stored entries per pass of SparseMatrix.column_sums_of_squares.
+_COLUMN_CHUNK = 65536
 
 
 class SparseMatrix:
@@ -95,6 +101,7 @@ class SparseMatrix:
         # CSC view sharing the CSR arrays; products through it are the scatter pass.
         self._csc_t = self._csr.T
         self._norm2_estimate: Optional[float] = None
+        self._column_sums_of_squares: Optional[np.ndarray] = None
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
@@ -147,6 +154,21 @@ class SparseMatrix:
             self._norm2_estimate = float(np.sqrt(sigma2))
         return self._norm2_estimate
 
+    def column_sums_of_squares(self) -> np.ndarray:
+        """c_j = sum_i A_ij^2, the diagonal of A^T A, from the stored entries
+        with no operator product (cached after the first call, read-only).
+        The entries are taken _COLUMN_CHUNK at a time, so the temporaries stay
+        small however large nnz is."""
+        if self._column_sums_of_squares is None:
+            c = np.zeros(self.n_cols)
+            for start in range(0, self.nnz, _COLUMN_CHUNK):
+                chunk = slice(start, start + _COLUMN_CHUNK)
+                c += np.bincount(self.col_indices[chunk], weights=self.values[chunk] ** 2,
+                                 minlength=self.n_cols)
+            c.flags.writeable = False
+            self._column_sums_of_squares = c
+        return self._column_sums_of_squares
+
 
 @dataclass
 class CGResult:
@@ -175,7 +197,8 @@ _RADIUS_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10,
-             max_iter: Optional[int] = None, radius: Optional[float] = None) -> CGResult:
+             max_iter: Optional[int] = None, radius: Optional[float] = None,
+             diagonal=None) -> CGResult:
     """Solve ``apply_op(x) = b``, or minimize q(x) = 1/2 x^T A x - b^T x
     inside the ball ||x|| <= radius.
 
@@ -186,7 +209,8 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
     b : array
         Right-hand side.
     tol : float
-        Relative tolerance; stop once the residual norm is <= tol * ||b||.
+        Relative tolerance; stop once the residual norm ||b - A x|| is
+        <= tol * ||b||, with or without a preconditioner.
     max_iter : int, optional
         Defaults to ``2 * len(b)``.  A solve that reaches it returns its last
         iterate, the one with the lowest model value, unconverged.
@@ -199,12 +223,23 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         multiple of p meets the sphere ||x|| = radius.  Otherwise it stops as
         without a radius, and a ball that no iterate leaves gives the same
         result.
+    diagonal : array, optional
+        Jacobi preconditioner (Saad, Iterative Methods for Sparse Linear
+        Systems, section 10.2): positive, finite and of length ``len(b)``,
+        usually the diagonal of A.  The search directions are built from
+        z = r / diagonal instead of the residual r; the iterates still lower
+        q at every iteration, and the stopping test is unchanged.  It cannot
+        be combined with ``radius``.  Without it every float operation is
+        that of plain CG.
 
     Raises
     ------
     CurvatureError
         Without a radius, if some direction p has p^T(Ap) <= 0, naming the
         iteration.  With a radius it is never raised.
+    ValueError
+        For a radius outside (0, sqrt(float max)], a diagonal that is not a
+        positive finite array of length ``len(b)``, or both options at once.
     """
     b = as_vector(b)
     n = b.size
@@ -213,14 +248,29 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
     if radius is not None and not 0.0 < radius <= _RADIUS_MAX:
         raise ValueError(f"radius must be positive and at most {_RADIUS_MAX:.6g}, "
                          f"got {radius!r}")
+    if diagonal is not None:
+        if radius is not None:
+            raise ValueError("diagonal cannot be combined with radius: the ball of a "
+                             "truncated solve is taken in the plain norm")
+        diagonal = np.asarray(diagonal, dtype=np.float64)
+        if diagonal.shape != (n,) or not np.all(np.isfinite(diagonal) & (diagonal > 0.0)):
+            raise ValueError(f"diagonal must be a positive, finite array of length {n}")
     b_norm = float(np.linalg.norm(b))
     x = np.zeros(n)
     if b_norm == 0.0:
         return CGResult(x, True, 0, 0.0, False)
     target = tol * b_norm
+
+    def precondition(r, rs):  # z = r / diagonal and r^T z; r and rs = r^T r without one
+        if diagonal is None:
+            return r, rs
+        z = r / diagonal
+        return z, float(r @ z)
+
     r = b.copy()
-    p = r.copy()
     rs = float(r @ r)
+    z, rz = precondition(r, rs)
+    p = z.copy()
     q = 0.0  # the model at x: q(x + tau p) = q(x) + tau (tau p^T A p / 2 - r^T p)
     k = 0
     while k < max_iter and float(np.sqrt(rs)) > target:
@@ -233,16 +283,17 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         if radius is not None:
             pp, xp = float(p @ p), float(x @ p)  # tau >= 0 puts x + tau p on the sphere
             tau = (np.sqrt(xp * xp - pp * (float(x @ x) - radius * radius)) - xp) / pp
-            if pAp <= 0.0 or rs >= tau * pAp:  # the CG step rs / pAp would leave the ball
+            if pAp <= 0.0 or rz >= tau * pAp:  # the CG step rz / pAp would leave the ball
                 return CGResult(x + tau * p, True, k, q + tau * (0.5 * tau * pAp - rp), True)
-        step = rs / pAp
+        step = rz / pAp
         x = x + step * p
         q += step * (0.5 * step * pAp - rp)
         if k % _CG_RECOMPUTE_EVERY == 0:
             r = b - apply_op(x)
         else:
             r = r - step * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs = float(r @ r)
+        z, rz_new = precondition(r, rs)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return CGResult(x, float(np.sqrt(rs)) <= target, k, q, False)

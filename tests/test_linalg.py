@@ -1,6 +1,7 @@
 """Sparse matrix products, adjoint consistency and the CG inner solver."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from sparsenewton import (
     CurvatureError,
     SparseMatrix,
+    TomoGeometry,
     as_vector,
+    build_parallel_tomo,
     cg_solve,
 )
 
@@ -106,6 +109,32 @@ def test_norm2_estimate_against_svd():
         assert est <= exact * (1 + 1e-12)
         assert est >= exact * (1 - 1e-3)
         assert A.norm2_estimate() == est  # cached
+
+
+def test_column_sums_of_squares_match_the_dense_sums_and_are_cached():
+    rng = np.random.default_rng(2)
+    for rows, cols in ((1, 1), (9, 6), (40, 25)):
+        dense, A = random_sparse(rng, rows, cols)
+        c = A.column_sums_of_squares()
+        np.testing.assert_allclose(c, (dense**2).sum(0), rtol=1e-12, atol=0.0)
+        assert A.column_sums_of_squares() is c and not c.flags.writeable
+    A = build_parallel_tomo(TomoGeometry(16, 20, 24))
+    np.testing.assert_allclose(A.column_sums_of_squares(), (A.to_dense()**2).sum(0),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_column_sums_of_squares_at_m64_take_several_small_passes():
+    A = build_parallel_tomo(TomoGeometry(64, 120, 90))
+    assert A.nnz > 10 * 65536  # more than ten chunks
+    tracemalloc.start()
+    try:
+        c = A.column_sums_of_squares()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nnz * 4  # one pass over all entries would need about 16 bytes each
+    one_pass = np.bincount(A.col_indices, weights=A.values**2, minlength=A.n_cols)
+    np.testing.assert_allclose(c, one_pass, rtol=1e-12, atol=0.0)
 
 
 def test_cg_identity_one_iteration():
@@ -238,6 +267,45 @@ def test_cg_without_a_radius_or_in_a_wide_ball_matches_the_reference(case):
 
 def quadratic(H, b, x):
     return 0.5 * x @ H @ x - b @ x
+
+
+@pytest.mark.parametrize("case", range(len(spd_cases())))
+def test_cg_with_a_unit_diagonal_is_plain_cg(case):
+    op, b, kwargs = spd_cases()[case]
+    plain = cg_solve(op, b, **kwargs)
+    result = cg_solve(op, b, diagonal=np.ones(b.size), **kwargs)
+    np.testing.assert_array_equal(result.x, plain.x)
+    assert (result.converged, result.iterations, result.model, result.on_boundary) == \
+        (plain.converged, plain.iterations, plain.model, plain.on_boundary)
+
+
+def test_cg_with_the_jacobi_diagonal_converges_in_fewer_iterations():
+    # eigenvalues spread over 1..1e4 that a diagonal scaling almost removes
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(120)
+    H = np.diag(np.geomspace(1.0, 1e4, 120)) + 0.1 * np.outer(u, u)
+    b = rng.standard_normal(120)
+    tol = 1e-10
+    plain = cg_solve(lambda v: H @ v, b, tol=tol)
+    result = cg_solve(lambda v: H @ v, b, tol=tol, diagonal=np.diag(H).copy())
+    assert result.converged and result.iterations < plain.iterations
+    assert result.iterations <= 10
+    assert np.linalg.norm(b - H @ result.x) <= tol * np.linalg.norm(b)
+    assert result.model == pytest.approx(quadratic(H, b, result.x), rel=1e-10)
+    assert not result.on_boundary
+
+
+@pytest.mark.filterwarnings("error")
+def test_cg_rejects_a_diagonal_that_is_not_positive_finite_and_of_length_n():
+    b = np.ones(3)
+    for diagonal in (np.array([1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]),
+                     np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf, 1.0]),
+                     np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3))):
+        with pytest.raises(ValueError, match="diagonal must be a positive, finite array "
+                                             "of length 3"):
+            cg_solve(lambda v: v, b, diagonal=diagonal)
+    with pytest.raises(ValueError, match="diagonal cannot be combined with radius"):
+        cg_solve(lambda v: v, b, radius=1.0, diagonal=np.ones(3))
 
 
 def test_cg_with_a_radius_stops_on_the_sphere_at_non_positive_curvature():

@@ -2,6 +2,7 @@
 
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,13 +151,30 @@ def test_ista_descends_its_objective():
     assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_ista_divergence_error():
+    # ISTA and FISTA stop on the first iterate whose functional value
+    # overflows, with no numpy warning on the way
     rng = np.random.default_rng(2)
     A, y, _ = conditioned_instance(rng)
     p = ProblemData(A, y, 0.05)
-    with np.errstate(over="ignore", invalid="ignore"):
+    for runner in (run_ista, run_fista):
         with pytest.raises(DivergenceError, match="reduce omega"):
-            run_ista(p, SolverConfig(omega=1e6), 0.0)
+            runner(p, SolverConfig(omega=1e6), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gd_rejects_a_trial_whose_functional_overflows(monkeypatch):
+    # J = (a x^2)^2 + x^2 from x0 = 1e113 (J about 1e242): the first trial,
+    # x0 - g at about -4e129, overflows J, and 55 halvings later a trial
+    # lies below J(x0)
+    log = record_trials(monkeypatch)
+    p = ProblemData(SparseMatrix.from_dense(np.array([[1e-105]])), np.zeros(1), 1.0)
+    x, trace = run_gradient_descent(p, SolverConfig(x0=np.array([1e113]), max_iter=1), 0.0)
+    row0, first_trial, *_, accepted = [entry[1] for entry in log]
+    assert np.isfinite(row0) and first_trial == np.inf
+    assert trace.n_star == 1 and trace.functionals == [row0, accepted] and accepted < row0
+    assert np.isfinite(x).all()
 
 
 def test_fista_matches_reference_recursion():
@@ -305,6 +323,29 @@ def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch
     _, trace = run_levenberg_marquardt(p, SolverConfig(x0=x0), delta)
     assert shifts == [delta]
     assert trace.stop_reason == "stagnation" and trace.n_star == 0
+
+
+def test_lm_preconditions_its_cg_with_the_diagonal_of_the_normal_operator(monkeypatch):
+    A = build_parallel_tomo(TomoGeometry(16, 24, 20))
+    y_delta, delta = add_noise(A.matvec(shepp_logan(16)), NoiseModel(0.01, 0))
+    cfg, alpha = make_solver_config("lm", {}, delta, y_delta)
+    solves = []
+    cg = solvers.cg_solve
+
+    def recording_cg(op, b, **kwargs):
+        solves.append((op, b, kwargs))
+        return cg(op, b, **kwargs)
+
+    monkeypatch.setattr(solvers, "cg_solve", recording_cg)
+    run_levenberg_marquardt(ProblemData(A, y_delta, alpha), replace(cfg, max_iter=1), delta)
+    (op, b, kwargs), = solves
+    n = b.size
+    np.testing.assert_allclose(kwargs["diagonal"], [op(e)[j] for j, e in enumerate(np.eye(n))],
+                               rtol=1e-12)
+    preconditioned = cg(op, b, **kwargs)
+    plain = cg(op, b, **{k: v for k, v in kwargs.items() if k != "diagonal"})
+    assert preconditioned.converged and plain.converged
+    assert preconditioned.iterations < plain.iterations
 
 
 def record_trials(monkeypatch):
