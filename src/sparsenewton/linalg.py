@@ -137,8 +137,9 @@ class SparseMatrix:
         return self._csc_t.dot(y)
 
     def norm2_estimate(self) -> float:
-        """Spectral-norm estimate from 100 power iterations on A^T A from a
-        seed-0 random start (cached after the first call)."""
+        """Spectral-norm estimate from power iterations on A^T A from a seed-0
+        random start, run until the estimate ||A^T A v|| repeats bit for bit,
+        at most 100 (cached after the first call)."""
         if self._norm2_estimate is None:
             rng = np.random.default_rng(0)
             v = rng.standard_normal(self.n_cols)
@@ -147,7 +148,7 @@ class SparseMatrix:
             for _ in range(100):
                 w = self.transpose_matvec(self.matvec(v))
                 nw = np.linalg.norm(w)
-                if nw == 0.0:
+                if nw == 0.0 or nw == sigma2:
                     break
                 sigma2 = nw
                 v = w / nw

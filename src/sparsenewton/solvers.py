@@ -72,7 +72,8 @@ class SolverConfig:
     per-method ones are in SOLVER_KNOBS.  The regularization weight is
     ProblemData.alpha.  epsilon semantics: None picks the method's default from
     SOLVER_KNOBS; "auto" resolves to 1e-4 * delta (see resolve_auto).  omega
-    "auto" is 0.9 / ||A||_2^2 with the norm estimated by 100 power iterations.
+    "auto" is 0.9 / ||A||_2^2 with the norm estimated by power iterations run
+    until the estimate repeats, at most 100.
     max_iter and warm_start take Python or numpy integers.
     """
 
@@ -329,14 +330,14 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
 
 
 def _bb_step(s, y) -> float:
-    """Barzilai and Borwein's long step s^T s / s^T y for the step s = x_k -
+    """Barzilai and Borwein's short step s^T y / y^T y for the step s = x_k -
     x_{k-1} and gradient change y = g_k - g_{k-1}, clipped to [BB_STEP_MIN,
     BB_STEP_MAX]; 1 when s^T y <= 0, where the curvature seen gives no step.
     """
     sy = float(s @ y)
     if sy <= 0.0:
         return 1.0
-    return min(max(float(s @ s) / sy, BB_STEP_MIN), BB_STEP_MAX)
+    return min(max(sy / float(y @ y), BB_STEP_MIN), BB_STEP_MAX)
 
 
 def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
@@ -344,11 +345,12 @@ def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
     """Armijo-damped steepest descent on the substituted functional.
 
     Runs on J when epsilon == 0 (the default) and on J_eps otherwise.  The
-    first Armijo search starts at the step 1, every later one at the
+    first Armijo search starts at the step 1, every later one at the short
     Barzilai-Borwein step _bb_step of the last step and gradient change
     (Barzilai and Borwein, IMA J. Numer. Anal. 1988; Raydan, SIAM J. Optim.
-    1997), which follows the curvature the iterates have seen.  The search
-    stays monotone, so J_eps falls on every step.
+    1997), which follows the curvature the iterates have seen and is rejected
+    less often than the long step s^T s / s^T y.  The search stays monotone,
+    so J_eps falls on every step.
     """
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "gd")

@@ -111,6 +111,36 @@ def test_norm2_estimate_against_svd():
         assert A.norm2_estimate() == est  # cached
 
 
+def power_method_100(A):
+    """The norm estimate's power iteration run for all 100 steps."""
+    v = np.random.default_rng(0).standard_normal(A.n_cols)
+    v /= np.linalg.norm(v)
+    sigma2 = 0.0
+    for _ in range(100):
+        w = A.transpose_matvec(A.matvec(v))
+        sigma2 = np.linalg.norm(w)
+        v = w / sigma2
+    return float(np.sqrt(sigma2))
+
+
+def test_norm2_estimate_stops_at_its_fixed_point(monkeypatch):
+    applications = []  # each application of A^T A is one A and one A^T product
+    matvec = SparseMatrix.matvec
+
+    def counted_matvec(A, x):
+        applications.append(x)
+        return matvec(A, x)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counted_matvec)
+    for geom in (TomoGeometry(16, 24, 20), TomoGeometry(32, 60, 45)):
+        A = build_parallel_tomo(geom)
+        reference = power_method_100(A)
+        applications.clear()
+        assert A.norm2_estimate() == reference  # bit for bit
+    assert 2 * len(applications) <= 60  # at m=32
+    assert SparseMatrix.from_dense(np.zeros((3, 2))).norm2_estimate() == 0.0
+
+
 def test_column_sums_of_squares_match_the_dense_sums_and_are_cached():
     rng = np.random.default_rng(2)
     for rows, cols in ((1, 1), (9, 6), (40, 25)):

@@ -541,12 +541,13 @@ def gd_sweep_cell():
     return ProblemData(A, y_delta, alpha), cfg, delta
 
 
-def test_bb_step_is_the_long_step_clipped_and_one_without_positive_curvature():
-    assert solvers._bb_step(np.array([1.0, 2.0]), np.array([2.0, 1.0])) == 5.0 / 4.0
-    # on a quadratic the step is the inverse Rayleigh quotient of s
+def test_bb_step_is_the_short_step_clipped_and_one_without_positive_curvature():
+    assert solvers._bb_step(np.array([1.0, 2.0]), np.array([2.0, 1.0])) == 4.0 / 5.0
+    # on a quadratic the step is the inverse Rayleigh quotient of H^(1/2) s
     H = np.array([[3.0, 1.0], [1.0, 2.0]])
     s = np.array([0.5, -1.5])
-    assert solvers._bb_step(s, H @ s) == pytest.approx((s @ s) / (s @ H @ s), rel=1e-15)
+    Hs = H @ s
+    assert solvers._bb_step(s, Hs) == pytest.approx((s @ Hs) / (Hs @ Hs), rel=1e-15)
     for y in ([-1.0, 0.0], [0.0, 1.0], [-2.0, 1.0]):  # s^T y < 0, = 0, < 0
         assert solvers._bb_step(np.array([1.0, 0.0]), np.array(y)) == 1.0
     assert solvers._bb_step(np.array([1e-13]), np.array([1.0])) == solvers.BB_STEP_MIN
