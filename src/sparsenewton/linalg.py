@@ -47,6 +47,18 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _index_array(name: str, arr) -> np.ndarray:
+    """``arr`` as an integer array at the width it arrives in (scipy narrows
+    it only when its values fit); an empty list, which numpy makes float64,
+    becomes int64, and any other non-integer dtype is an error."""
+    a = np.asarray(arr)
+    if a.dtype.kind not in "iu":
+        if a.size:
+            raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+        a = a.astype(np.int64)
+    return a
+
+
 # Stored entries per pass of SparseMatrix.column_sums_of_squares.
 _COLUMN_CHUNK = 65536
 
@@ -61,7 +73,9 @@ class SparseMatrix:
     row_offsets : array of int, length n_rows + 1
         Nondecreasing, starts at 0, ends at nnz.
     col_indices : array of int, length nnz
-        Column index of each stored entry, each in [0, n_cols).
+        Column index of each stored entry, each in [0, n_cols).  Index arrays
+        of an integer dtype are taken at their width, so int32 arrays are
+        stored without a copy; any other dtype is an error unless empty.
     values : array of float, length nnz
         Stored entries; must all be finite.
     """
@@ -71,14 +85,14 @@ class SparseMatrix:
         n_cols = int(n_cols)
         if n_rows < 1 or n_cols < 1:
             raise ValueError(f"matrix shape must be positive, got {n_rows}x{n_cols}")
-        row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        col_indices = np.asarray(col_indices, dtype=np.int64)
+        row_offsets = _index_array("row_offsets", row_offsets)
+        col_indices = _index_array("col_indices", col_indices)
         values = np.asarray(values, dtype=np.float64)
         if row_offsets.ndim != 1 or row_offsets.size != n_rows + 1:
             raise ValueError("row_offsets must be 1-D with length n_rows + 1")
         if row_offsets[0] != 0:
             raise ValueError("row_offsets must start at 0")
-        if np.any(np.diff(row_offsets) < 0):
+        if np.any(row_offsets[1:] < row_offsets[:-1]):
             raise ValueError("row_offsets must be nondecreasing")
         nnz = int(row_offsets[-1])
         if col_indices.shape != (nnz,) or values.shape != (nnz,):

@@ -26,8 +26,9 @@ from .linalg import SparseMatrix, as_vector
 
 _MIN_CHORD = 1e-12
 # A ray crosses at most 2m + 1 cells, so n_angles * n_beams * (2m + 1) bounds
-# nnz.  The build peaks near 22 bytes per unit of that bound (measured at m=64
-# and m=128, where nnz is 0.59 of it), so this limit caps the build near 1.1 GB.
+# nnz.  The build peaks near 13 bytes per unit of that bound (12.9 at m=64 and
+# 12.6 at m=128, where nnz is 0.59 of it, under tracemalloc), so this limit
+# caps the build near 650 MB.
 MAX_NNZ_BOUND = 50_000_000
 
 
@@ -54,11 +55,11 @@ class TomoGeometry:
 
     @property
     def n_rows(self) -> int:
-        return self.n_angles * self.n_beams
+        return int(self.n_angles) * int(self.n_beams)  # numpy integer fields would wrap
 
     @property
     def n_cols(self) -> int:
-        return self.m * self.m
+        return int(self.m) * int(self.m)
 
     @property
     def angles_deg(self) -> np.ndarray:
@@ -184,22 +185,32 @@ def build_parallel_tomo(geom: TomoGeometry) -> SparseMatrix:
     A geometry whose nonzero bound n_angles * n_beams * (2m + 1) exceeds
     MAX_NNZ_BOUND is refused before anything is allocated.
     """
-    bound = int(geom.n_angles) * int(geom.n_beams) * (2 * int(geom.m) + 1)  # no numpy wrap
+    bound = geom.n_rows * (2 * int(geom.m) + 1)  # Python ints: no numpy wrap
     if bound > MAX_NNZ_BOUND:
         raise ValueError(f"m = {geom.m} with {geom.n_angles} angles and {geom.n_beams} beams "
                          f"may need {bound} nonzeros, over the limit of {MAX_NNZ_BOUND}")
+    n_beams = int(geom.n_beams)
+    # scipy keeps int32 indices, uncopied, while the shape and nnz fit them
+    index_type = np.int32 if max(geom.n_cols, bound) <= np.iinfo(np.int32).max else np.int64
+    # Filled at a running offset, angle by angle, then shrunk in place to nnz:
+    # no per-angle lists to concatenate and no second copy of the entries.
+    row_offsets = np.zeros(geom.n_rows + 1, dtype=index_type)
+    cols = np.empty(bound, dtype=index_type)
+    vals = np.empty(bound)
+    nnz = 0
     offsets = geom.beam_offsets
-    counts, cols, vals = [], [], []
-    for theta in np.deg2rad(geom.angles_deg):
+    for i, theta in enumerate(np.deg2rad(geom.angles_deg)):
         w = (np.cos(theta), np.sin(theta))
         points = np.column_stack((offsets * w[0], offsets * w[1]))
         rays, angle_cols, angle_vals = ray_cell_chords(geom.m, points, (-w[1], w[0]))
-        counts.append(np.bincount(rays, minlength=geom.n_beams))  # holds no ray indices
-        cols.append(angle_cols)
-        vals.append(angle_vals)
-    row_offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return SparseMatrix(geom.n_rows, geom.n_cols, row_offsets, np.concatenate(cols),
-                        np.concatenate(vals))
+        row_offsets[1 + i * n_beams:1 + (i + 1) * n_beams] = np.bincount(rays, minlength=n_beams)
+        cols[nnz:nnz + angle_cols.size] = angle_cols
+        vals[nnz:nnz + angle_vals.size] = angle_vals
+        nnz += angle_vals.size
+    np.cumsum(row_offsets, out=row_offsets)
+    cols.resize(nnz)
+    vals.resize(nnz)
+    return SparseMatrix(geom.n_rows, geom.n_cols, row_offsets, cols, vals)
 
 
 def add_noise(y, model: NoiseModel):
@@ -214,6 +225,11 @@ def add_noise(y, model: NoiseModel):
     return y + delta * r, delta
 
 
+# The text of each gray level: pixels are formatted by lookup, not one str()
+# per numpy scalar.
+_PGM_LEVELS = tuple(str(v) for v in range(256))
+
+
 def write_pgm(path, image, m: int):
     """Plain PGM (P2, maxval 255), row-major, linear min-max scaling."""
     img = np.asarray(image, dtype=np.float64).reshape(m, m)
@@ -222,9 +238,9 @@ def write_pgm(path, image, m: int):
         pixels = np.rint((img - lo) / (hi - lo) * 255.0).astype(np.int64)
     else:
         pixels = np.zeros((m, m), dtype=np.int64)
-    flat = pixels.ravel()
+    words = [_PGM_LEVELS[v] for v in pixels.ravel().tolist()]
     lines = ["P2", f"{m} {m}", "255"]
-    for start in range(0, flat.size, 17):  # <= 70 chars per line
-        lines.append(" ".join(str(v) for v in flat[start:start + 17]))
+    for start in range(0, len(words), 17):  # <= 70 chars per line
+        lines.append(" ".join(words[start:start + 17]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -74,6 +74,43 @@ def test_csr_validation():
         SparseMatrix(1, 2, [0, 1], [0], [np.nan])
 
 
+def test_csr_rejects_index_arrays_that_are_not_integers():
+    with pytest.raises(ValueError, match="col_indices must hold integers, got dtype float64"):
+        SparseMatrix(1, 2, [0, 1], [1.7], [3.0])
+    with pytest.raises(ValueError, match="row_offsets must hold integers, got dtype float64"):
+        SparseMatrix(1, 2, [0.0, 1.9], [1], [3.0])
+    with pytest.raises(ValueError, match="col_indices must hold integers, got dtype bool"):
+        SparseMatrix(1, 2, [0, 1], [True], [3.0])
+    A = SparseMatrix(2, 3, [0, 0, 0], [], [])  # empty lists are float64 to numpy
+    assert A.nnz == 0
+
+
+def test_csr_keeps_int32_indices_without_a_copy():
+    rows = np.array([0, 1, 3], dtype=np.int32)
+    cols = np.array([2, 0, 1], dtype=np.int32)
+    A = SparseMatrix(2, 3, rows, cols, [1.0, 2.0, 3.0])
+    assert A.col_indices.dtype == np.int32
+    assert np.shares_memory(A.col_indices, cols) and np.shares_memory(A.row_offsets, rows)
+    np.testing.assert_array_equal(A.to_dense(), [[0.0, 0.0, 1.0], [2.0, 3.0, 0.0]])
+
+
+def test_csr_validation_holds_for_int32_indices():
+    def i32(values):
+        return np.array(values, dtype=np.int32)
+
+    with pytest.raises(ValueError, match="start at 0"):
+        SparseMatrix(1, 2, i32([1, 2]), i32([0]), [1.0])
+    with pytest.raises(ValueError, match="length n_rows"):
+        SparseMatrix(2, 2, i32([0, 1]), i32([0]), [1.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        SparseMatrix(2, 2, i32([0, 2, 1]), i32([0, 1]), [1.0, 1.0])
+    with pytest.raises(ValueError, match="length row_offsets"):
+        SparseMatrix(1, 2, i32([0, 2]), i32([0]), [1.0])
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+            SparseMatrix(1, 2, i32([0, 1]), i32([bad]), [1.0])
+
+
 def test_from_dense_roundtrip_and_counts():
     rng = np.random.default_rng(11)
     dense, A = random_sparse(rng, 9, 6)
