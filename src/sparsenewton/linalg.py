@@ -5,14 +5,12 @@ form; transpose products are evaluated as a scatter pass over the same three
 arrays (via the CSC view, which shares memory), so no transposed copy is ever
 materialized.
 
-``cg_solve`` is the one CG of the package, with two options that exclude
-each other.  Without either it solves a symmetric positive definite system.
-With ``diagonal=`` it is Jacobi-preconditioned CG on the same system, still
-stopping on the unpreconditioned residual.  With ``radius=`` it is Steihaug's
-truncated CG for the trust-region model q(s) = 1/2 s^T H s - b^T s, which
-stops on the sphere ||s|| = radius instead of failing on non-positive
-curvature.  In every case it returns the point it stopped at, its last
-iterate, whose model value is the lowest it reached.
+``cg_solve`` is the one CG of the package, with two modes.  Without a radius
+it solves a symmetric positive definite system.  With ``radius=`` it is
+Steihaug's truncated CG for the trust-region model q(s) = 1/2 s^T H s - b^T s,
+which stops on the sphere ||s|| = radius instead of failing on non-positive
+curvature.  In both it returns the point it stopped at, its last iterate,
+whose model value is the lowest it reached.
 """
 
 from __future__ import annotations
@@ -212,8 +210,7 @@ _RADIUS_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10,
-             max_iter: Optional[int] = None, radius: Optional[float] = None,
-             diagonal=None) -> CGResult:
+             max_iter: Optional[int] = None, radius: Optional[float] = None) -> CGResult:
     """Solve ``apply_op(x) = b``, or minimize q(x) = 1/2 x^T A x - b^T x
     inside the ball ||x|| <= radius.
 
@@ -225,7 +222,7 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         Right-hand side.
     tol : float
         Relative tolerance; stop once the residual norm ||b - A x|| is
-        <= tol * ||b||, with or without a preconditioner.
+        <= tol * ||b||.
     max_iter : int, optional
         Defaults to ``2 * len(b)``.  A solve that reaches it returns its last
         iterate, the one with the lowest model value, unconverged.
@@ -238,14 +235,6 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         multiple of p meets the sphere ||x|| = radius.  Otherwise it stops as
         without a radius, and a ball that no iterate leaves gives the same
         result.
-    diagonal : array, optional
-        Jacobi preconditioner (Saad, Iterative Methods for Sparse Linear
-        Systems, section 10.2): positive, finite and of length ``len(b)``,
-        usually the diagonal of A.  The search directions are built from
-        z = r / diagonal instead of the residual r; the iterates still lower
-        q at every iteration, and the stopping test is unchanged.  It cannot
-        be combined with ``radius``.  Without it every float operation is
-        that of plain CG.
 
     Raises
     ------
@@ -253,8 +242,7 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         Without a radius, if some direction p has p^T(Ap) <= 0, naming the
         iteration.  With a radius it is never raised.
     ValueError
-        For a radius outside (0, sqrt(float max)], a diagonal that is not a
-        positive finite array of length ``len(b)``, or both options at once.
+        For a radius outside (0, sqrt(float max)].
     """
     b = as_vector(b)
     n = b.size
@@ -263,29 +251,14 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
     if radius is not None and not 0.0 < radius <= _RADIUS_MAX:
         raise ValueError(f"radius must be positive and at most {_RADIUS_MAX:.6g}, "
                          f"got {radius!r}")
-    if diagonal is not None:
-        if radius is not None:
-            raise ValueError("diagonal cannot be combined with radius: the ball of a "
-                             "truncated solve is taken in the plain norm")
-        diagonal = np.asarray(diagonal, dtype=np.float64)
-        if diagonal.shape != (n,) or not np.all(np.isfinite(diagonal) & (diagonal > 0.0)):
-            raise ValueError(f"diagonal must be a positive, finite array of length {n}")
     b_norm = float(np.linalg.norm(b))
     x = np.zeros(n)
     if b_norm == 0.0:
         return CGResult(x, True, 0, 0.0, False)
     target = tol * b_norm
-
-    def precondition(r, rs):  # z = r / diagonal and r^T z; r and rs = r^T r without one
-        if diagonal is None:
-            return r, rs
-        z = r / diagonal
-        return z, float(r @ z)
-
     r = b.copy()
+    p = r.copy()
     rs = float(r @ r)
-    z, rz = precondition(r, rs)
-    p = z.copy()
     q = 0.0  # the model at x: q(x + tau p) = q(x) + tau (tau p^T A p / 2 - r^T p)
     k = 0
     while k < max_iter and float(np.sqrt(rs)) > target:
@@ -298,17 +271,16 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
         if radius is not None:
             pp, xp = float(p @ p), float(x @ p)  # tau >= 0 puts x + tau p on the sphere
             tau = (np.sqrt(xp * xp - pp * (float(x @ x) - radius * radius)) - xp) / pp
-            if pAp <= 0.0 or rz >= tau * pAp:  # the CG step rz / pAp would leave the ball
+            if pAp <= 0.0 or rs >= tau * pAp:  # the CG step rs / pAp would leave the ball
                 return CGResult(x + tau * p, True, k, q + tau * (0.5 * tau * pAp - rp), True)
-        step = rz / pAp
+        step = rs / pAp
         x = x + step * p
         q += step * (0.5 * step * pAp - rp)
         if k % _CG_RECOMPUTE_EVERY == 0:
             r = b - apply_op(x)
         else:
             r = r - step * Ap
-        rs = float(r @ r)
-        z, rz_new = precondition(r, rs)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
     return CGResult(x, float(np.sqrt(rs)) <= target, k, q, False)

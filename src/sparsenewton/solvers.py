@@ -256,8 +256,9 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
                 reason = STOP_STAGNATION
                 break
             if not math.isfinite(nxt.f):  # alpha > 0: f is finite only if x and A x are
+                advice = "; reduce omega" if spec is None else ""  # omega is ISTA's and FISTA's
                 raise DivergenceError(f"divergence: the functional value of iterate {n + 1} "
-                                      "is not finite; reduce omega")
+                                      f"is not finite{advice}")
             prev_f, point = point.f, nxt
             if record(n + 1, point):
                 reason = STOP_DISCREPANCY
@@ -374,15 +375,16 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
     """Levenberg-Marquardt on F(x~) = y with the fixed shift schedule
     alpha_n = max(delta * 0.6^n, 1e-14).
 
-    Each step solves (G A^T A G + alpha_n I) s = G A^T (y - F(x~)) by CG
-    until the CG residual is at most inner_tol times the norm of the right-hand
-    side; sweeps default to inner_tol = 1e-2, a truncated solve in the spirit
-    of Rieder's REGINN, and the SolverConfig default 1e-10 solves almost
-    exactly.  The CG is Jacobi-preconditioned with the operator's diagonal
-    g^2 c + alpha_n, where g is the Jacobian diagonal and c the column sums
-    of squares of A (cached on A), so it needs no product; inner_tol still
-    bounds the unpreconditioned residual.  A failed inner solve stops with
-    reason "stagnation".
+    Each step solves M s = b, with M = G A^T A G + alpha_n I and
+    b = G A^T (y - F(x~)), by CG on the system scaled on both sides by
+    D = diag(M)^(-1/2) (split Jacobi preconditioning; Saad, Iterative Methods
+    for Sparse Linear Systems, section 9.2): D M D u = D b, and s = D u.  The
+    diagonal of M is g^2 c + alpha_n, where g is the Jacobian diagonal and c
+    the column sums of squares of A (cached on A), so D costs no product.  CG
+    stops once the scaled residual ||D (b - M s)|| is at most inner_tol
+    ||D b||; sweeps default to inner_tol = 1e-2, a truncated solve in the
+    spirit of Rieder's REGINN, and the SolverConfig default 1e-10 solves
+    almost exactly.  A failed inner solve stops with reason "stagnation".
     """
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y, "lm")
@@ -391,19 +393,20 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
         g_diag = gradient_diag(spec, it.x)
         rhs = g_diag * A.transpose_matvec(y - it.Fx)
 
-        def normal(w):  # G A^T A G w
-            return g_diag * A.transpose_matvec(A.matvec(g_diag * w))
-
         mu = _shift(n, delta)
-        # the operator's diagonal, positive as mu >= SHIFT_FLOOR; asked for in the
-        # step, so that wall_s covers the first computation of the column sums
-        jacobi = g_diag**2 * A.column_sums_of_squares() + mu
+        # diag(M)^(-1/2), finite as mu >= SHIFT_FLOOR; asked for in the step, so
+        # that wall_s covers the first computation of the column sums
+        d = 1.0 / np.sqrt(g_diag**2 * A.column_sums_of_squares() + mu)
+
+        def scaled(u):  # D M D u
+            w = d * u
+            return d * (g_diag * A.transpose_matvec(A.matvec(g_diag * w)) + mu * w)
+
         try:
-            result = cg_solve(lambda w: normal(w) + mu * w, rhs, tol=cfg.inner_tol,
-                              diagonal=jacobi)
+            result = cg_solve(scaled, d * rhs, tol=cfg.inner_tol)
         except CurvatureError:
             return None
-        return _evaluate(p, spec, it.x + result.x) if result.converged else None
+        return _evaluate(p, spec, it.x + d * result.x) if result.converged else None
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)
 
@@ -488,7 +491,7 @@ def _float_or_auto(text: str):
 # they warm start from a few FISTA iterations.  LM and Newton solve their
 # inner systems loosely: over the five cells of the lownoise-m64 benchmark
 # (m=64, 1% noise, seed 0) the near-exact 1e-10 solves cost Newton 3.2 times
-# (1,140 against 360) and LM 9.6 times (3,836 against 400) the operator
+# (1,140 against 360) and LM 9.6 times (3,844 against 400) the operator
 # products, for no smaller error (mean 0.0499 against 0.0419 and 0.0386
 # against 0.0373).
 SOLVER_KNOBS = {

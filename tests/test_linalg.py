@@ -336,45 +336,6 @@ def quadratic(H, b, x):
     return 0.5 * x @ H @ x - b @ x
 
 
-@pytest.mark.parametrize("case", range(len(spd_cases())))
-def test_cg_with_a_unit_diagonal_is_plain_cg(case):
-    op, b, kwargs = spd_cases()[case]
-    plain = cg_solve(op, b, **kwargs)
-    result = cg_solve(op, b, diagonal=np.ones(b.size), **kwargs)
-    np.testing.assert_array_equal(result.x, plain.x)
-    assert (result.converged, result.iterations, result.model, result.on_boundary) == \
-        (plain.converged, plain.iterations, plain.model, plain.on_boundary)
-
-
-def test_cg_with_the_jacobi_diagonal_converges_in_fewer_iterations():
-    # eigenvalues spread over 1..1e4 that a diagonal scaling almost removes
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal(120)
-    H = np.diag(np.geomspace(1.0, 1e4, 120)) + 0.1 * np.outer(u, u)
-    b = rng.standard_normal(120)
-    tol = 1e-10
-    plain = cg_solve(lambda v: H @ v, b, tol=tol)
-    result = cg_solve(lambda v: H @ v, b, tol=tol, diagonal=np.diag(H).copy())
-    assert result.converged and result.iterations < plain.iterations
-    assert result.iterations <= 10
-    assert np.linalg.norm(b - H @ result.x) <= tol * np.linalg.norm(b)
-    assert result.model == pytest.approx(quadratic(H, b, result.x), rel=1e-10)
-    assert not result.on_boundary
-
-
-@pytest.mark.filterwarnings("error")
-def test_cg_rejects_a_diagonal_that_is_not_positive_finite_and_of_length_n():
-    b = np.ones(3)
-    for diagonal in (np.array([1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]),
-                     np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf, 1.0]),
-                     np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3))):
-        with pytest.raises(ValueError, match="diagonal must be a positive, finite array "
-                                             "of length 3"):
-            cg_solve(lambda v: v, b, diagonal=diagonal)
-    with pytest.raises(ValueError, match="diagonal cannot be combined with radius"):
-        cg_solve(lambda v: v, b, radius=1.0, diagonal=np.ones(3))
-
-
 def test_cg_with_a_radius_stops_on_the_sphere_at_non_positive_curvature():
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.standard_normal((12, 12)))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from sparsenewton import (
+    CGResult,
     CurvatureError,
     DivergenceError,
+    ExperimentConfig,
     NoiseModel,
     ProblemData,
     SolverConfig,
@@ -34,7 +36,7 @@ from sparsenewton import (
     soft_threshold,
 )
 from sparsenewton import solvers
-from sparsenewton.experiment import make_solver_config
+from sparsenewton.experiment import build_instances, make_solver_config
 from sparsenewton.solvers import RUNNERS, _transform_spec
 
 ONE_BY_ONE = SparseMatrix.from_dense(np.array([[1.0]]))
@@ -161,6 +163,22 @@ def test_ista_divergence_error():
     for runner in (run_ista, run_fista):
         with pytest.raises(DivergenceError, match="reduce omega"):
             runner(p, SolverConfig(omega=1e6), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_on_the_substituted_variable_does_not_blame_omega(monkeypatch):
+    # omega is a step of ISTA and FISTA only; an LM step of 1e200 overflows
+    # J_eps with no numpy warning, and the message gives no advice on omega
+    def runaway_cg(op, b, **kwargs):
+        return CGResult(np.full(b.size, 1e200), True, 1, 0.0, False)
+
+    monkeypatch.setattr(solvers, "cg_solve", runaway_cg)
+    rng = np.random.default_rng(2)
+    A, y, _ = conditioned_instance(rng)
+    p = ProblemData(A, y, 0.05)
+    with pytest.raises(DivergenceError) as info:
+        run_levenberg_marquardt(p, SolverConfig(x0=np.ones(A.n_cols)), 0.0)
+    assert str(info.value) == "divergence: the functional value of iterate 1 is not finite"
 
 
 @pytest.mark.filterwarnings("error")
@@ -302,34 +320,35 @@ def test_newton_requires_positive_epsilon():
         run_newton(p, SolverConfig(epsilon=0.0), 0.0)
 
 
-def record_shifts(monkeypatch, op0):
-    """Replace the solvers' CG by one that records the shift of each system it
-    is given, op(1) - op0 on a 1x1 problem, and fails on curvature."""
-    shifts = []
+def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch):
+    shifts, solves = [], []
+    shift = solvers._shift
+
+    def recording_shift(n, delta):
+        shifts.append(shift(n, delta))
+        return shifts[-1]
 
     def failing_cg(op, b, **kwargs):
-        shifts.append(float(op(np.ones(1))[0]) - op0)
+        solves.append(b)
         raise CurvatureError(0)
 
+    monkeypatch.setattr(solvers, "_shift", recording_shift)
     monkeypatch.setattr(solvers, "cg_solve", failing_cg)
-    return shifts
-
-
-def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch):
-    x0, delta = np.array([1.0]), 0.5
+    delta = 0.5
     p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
-    g = float(gradient_diag(TransformSpec(0.0), x0)[0])
-    shifts = record_shifts(monkeypatch, g * g)  # G A^T A G at x0
-    _, trace = run_levenberg_marquardt(p, SolverConfig(x0=x0), delta)
-    assert shifts == [delta]
+    _, trace = run_levenberg_marquardt(p, SolverConfig(x0=np.array([1.0])), delta)
+    assert shifts == [delta] and len(solves) == 1
     assert trace.stop_reason == "stagnation" and trace.n_star == 0
 
 
 def test_lm_preconditions_its_cg_with_the_diagonal_of_the_normal_operator(monkeypatch):
+    # LM hands CG the system D M D u = D b with D = diag(M)^(-1/2), whose
+    # operator has a unit diagonal, and which CG solves in fewer iterations
+    # than M s = b
     A = build_parallel_tomo(TomoGeometry(16, 24, 20))
     y_delta, delta = add_noise(A.matvec(shepp_logan(16)), NoiseModel(0.01, 0))
     cfg, alpha = make_solver_config("lm", {}, delta, y_delta)
-    solves = []
+    solves, rows = [], []
     cg = solvers.cg_solve
 
     def recording_cg(op, b, **kwargs):
@@ -337,15 +356,53 @@ def test_lm_preconditions_its_cg_with_the_diagonal_of_the_normal_operator(monkey
         return cg(op, b, **kwargs)
 
     monkeypatch.setattr(solvers, "cg_solve", recording_cg)
-    run_levenberg_marquardt(ProblemData(A, y_delta, alpha), replace(cfg, max_iter=1), delta)
+    run_levenberg_marquardt(ProblemData(A, y_delta, alpha), replace(cfg, max_iter=1), delta,
+                            callback=lambda n, x: rows.append(x))
     (op, b, kwargs), = solves
-    n = b.size
-    np.testing.assert_allclose(kwargs["diagonal"], [op(e)[j] for j, e in enumerate(np.eye(n))],
-                               rtol=1e-12)
-    preconditioned = cg(op, b, **kwargs)
-    plain = cg(op, b, **{k: v for k, v in kwargs.items() if k != "diagonal"})
-    assert preconditioned.converged and plain.converged
-    assert preconditioned.iterations < plain.iterations
+    g, mu = gradient_diag(TransformSpec(0.0), rows[0]), solvers._shift(0, delta)
+
+    def normal(w):  # M = G A^T A G + mu I at row 0
+        return g * A.transpose_matvec(A.matvec(g * w)) + mu * w
+
+    eye = np.eye(b.size)
+    np.testing.assert_allclose([op(e)[j] for j, e in enumerate(eye)], 1.0, rtol=1e-12)
+    d = 1.0 / np.sqrt([normal(e)[j] for j, e in enumerate(eye)])
+    u = np.random.default_rng(0).standard_normal(b.size)
+    np.testing.assert_allclose(op(u), d * normal(d * u), rtol=1e-12, atol=1e-12)
+    scaled, unscaled = cg(op, b, **kwargs), cg(normal, b / d, **kwargs)
+    assert scaled.converged and unscaled.converged
+    assert scaled.iterations < unscaled.iterations
+
+
+def test_second_order_methods_stay_within_their_product_budgets(monkeypatch):
+    # A and A^T products per method over the acceptance instances (32/60/45,
+    # noise 0.05, 0.1 and 0.2, seed 0), warm starts included and the cached
+    # norm estimate left out; a change that makes LM or Newton do more work
+    # fails here before it shows in a benchmark
+    instances = build_instances(ExperimentConfig(TomoGeometry(32, 60, 45), ["lm"],
+                                                 [0.05, 0.1, 0.2], 1, 0))
+    A = instances[(0, 0)].A
+    A.norm2_estimate()
+    products = Counter()
+
+    def counted(name):
+        product = getattr(A, name)
+
+        def call(v):
+            products[name] += 1
+            return product(v)
+        return call
+
+    for name in ("matvec", "transpose_matvec"):
+        monkeypatch.setattr(A, name, counted(name))
+    budgets = {"lm": 98, "newton": 68}  # measured: 52 + 34 + 12 and 28 + 28 + 12
+    for method, budget in budgets.items():
+        products.clear()
+        for instance in instances.values():
+            cfg, alpha = make_solver_config(method, {}, instance.delta, instance.y_delta)
+            RUNNERS[method](ProblemData(A, instance.y_delta, alpha), cfg, instance.delta)
+        total = sum(products.values())
+        assert total <= budget, f"{method}: {total} products, budget {budget}"
 
 
 def record_trials(monkeypatch):
