@@ -149,12 +149,21 @@ class SparseMatrix:
         return self._csc_t.dot(y)
 
     def norm2_estimate(self) -> float:
-        """Spectral-norm estimate from power iterations on A^T A from a seed-0
-        random start, run until the estimate ||A^T A v|| repeats bit for bit,
-        at most 100 (cached after the first call)."""
+        """Spectral-norm estimate from power iterations on A^T A, run until
+        the estimate ||A^T A v|| repeats bit for bit, at most 100 (cached
+        after the first call).
+
+        A matrix with no negative entry, such as a projector, starts from the
+        all-ones vector: A^T A is then entrywise nonnegative, so its top
+        eigenvalue has a nonnegative (Perron) eigenvector, which the ones
+        vector cannot be orthogonal to.  Any other matrix starts from a
+        seed-0 random vector.
+        """
         if self._norm2_estimate is None:
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(self.n_cols)
+            if not (self.values < 0).any():
+                v = np.ones(self.n_cols)
+            else:
+                v = np.random.default_rng(0).standard_normal(self.n_cols)
             v /= np.linalg.norm(v)
             sigma2 = 0.0
             for _ in range(100):

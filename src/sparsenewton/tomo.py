@@ -208,8 +208,10 @@ def build_parallel_tomo(geom: TomoGeometry) -> SparseMatrix:
         vals[nnz:nnz + angle_vals.size] = angle_vals
         nnz += angle_vals.size
     np.cumsum(row_offsets, out=row_offsets)
-    cols.resize(nnz)
-    vals.resize(nnz)
+    # refcheck=False: no view of cols or vals outlives its slice assignment,
+    # and an active profiler or tracer holds references that fail the check
+    cols.resize(nnz, refcheck=False)
+    vals.resize(nnz, refcheck=False)
     return SparseMatrix(geom.n_rows, geom.n_cols, row_offsets, cols, vals)
 
 

@@ -49,7 +49,7 @@ def test_make_solver_config_defaults(tmp_path):
     inner_tols = {name: make_solver_config(name, {}, 1.0, y)[0].inner_tol
                   for name in ("ista", "fista", "gd", "lm", "newton")}
     assert inner_tols == {"ista": 1e-10, "fista": 1e-10, "gd": 1e-10,
-                          "lm": 1e-2, "newton": 0.2}
+                          "lm": 5e-2, "newton": 0.2}
     path = tmp_path / "exact.cfg"
     path.write_text("[geometry]\nm = 12\nn_angles = 6\nn_beams = 14\n"
                     "[experiment]\nsolvers = newton\n"

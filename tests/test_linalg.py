@@ -149,7 +149,8 @@ def test_norm2_estimate_against_svd():
 
 
 def power_method_100(A):
-    """The norm estimate's power iteration run for all 100 steps."""
+    """Power iteration on A^T A from a seed-0 random start, run for all 100
+    steps."""
     v = np.random.default_rng(0).standard_normal(A.n_cols)
     v /= np.linalg.norm(v)
     sigma2 = 0.0
@@ -174,8 +175,17 @@ def test_norm2_estimate_stops_at_its_fixed_point(monkeypatch):
         reference = power_method_100(A)
         applications.clear()
         assert A.norm2_estimate() == reference  # bit for bit
-    assert 2 * len(applications) <= 60  # at m=32
+    assert 2 * len(applications) <= 32  # at m=32, from the all-ones start
     assert SparseMatrix.from_dense(np.zeros((3, 2))).norm2_estimate() == 0.0
+
+
+def test_norm2_estimate_of_a_signed_matrix_keeps_the_random_start():
+    # the top right singular vector (1, -1, 0) / sqrt(2), for 2 sqrt(2), is
+    # orthogonal to the ones vector, from which the power method finds only
+    # the second singular value 1
+    dense = np.array([[2.0, -2.0, 0.0], [0.0, 0.0, 1.0]])
+    assert SparseMatrix.from_dense(dense).norm2_estimate() == pytest.approx(2.0 * np.sqrt(2.0))
+    assert SparseMatrix.from_dense([[1.0, -1.0]]).norm2_estimate() == pytest.approx(np.sqrt(2.0))
 
 
 def test_column_sums_of_squares_match_the_dense_sums_and_are_cached():

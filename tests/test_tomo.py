@@ -1,6 +1,7 @@
 """Geometry, ray tracing, phantom, noise and file formats."""
 
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,21 @@ def test_projector_build_fills_its_arrays_in_place():
     assert A.col_indices.dtype == np.int32 and A.nnz == 826_284
     assert peak <= 14 * bound
     assert held <= 12.5 * A.nnz
+
+
+def test_projector_builds_under_a_profiler():
+    # a profiler holds the bound method of the array being shrunk, which an
+    # in-place resize with its reference check refuses
+    g = TomoGeometry(16, 24, 20)
+    plain = build_parallel_tomo(g)
+    outer = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        profiled = build_parallel_tomo(g)
+    finally:
+        sys.setprofile(outer)
+    for name in ("row_offsets", "col_indices", "values"):
+        np.testing.assert_array_equal(getattr(profiled, name), getattr(plain, name))
 
 
 @pytest.mark.parametrize("m", [46500, np.int32(46500)])
