@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import selfcheck
-from .config import SOLVER_NAMES, ConfigError, parse_config
+from .config import SOLVER_NAMES, TIMING_MODES, ConfigError, parse_config
 from .experiment import SUMMARY_HEADER, run_experiment
 
 
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=SOLVER_NAMES, help="restrict to one solver")
     p.add_argument("--noise", type=float, help="restrict to one noise level")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--timing", choices=("wall", "off"),
+    p.add_argument("--timing", choices=TIMING_MODES,
                    help="wall-clock columns or zeros (byte-reproducible)")
 
     p = sub.add_parser("verify", help="run the built-in self checks")

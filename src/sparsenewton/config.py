@@ -1,11 +1,12 @@
 """Line-oriented experiment configuration.
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comment lines
-(whole-line only), UTF-8.  Sections are ``[geometry]``, ``[experiment]`` and
-one optional ``[solver.<name>]`` per solver.  Unknown sections or keys,
-duplicate keys, bytes that are not UTF-8 and malformed or out-of-range values
-are hard errors that cite line numbers; each value is checked on its line by
-the same rules an ExperimentConfig built in code must pass.
+(whole-line only), UTF-8 (a leading byte order mark is skipped).  Sections
+are ``[geometry]``, ``[experiment]`` and one optional ``[solver.<name>]`` per
+solver.  Unknown sections or keys, duplicate keys, bytes that are not UTF-8
+and malformed or out-of-range values are hard errors that cite line numbers;
+each value is checked on its line by the same rules an ExperimentConfig built
+in code must pass.
 
 Minimal valid file::
 
@@ -31,10 +32,10 @@ from functools import partial
 
 import numpy as np
 
-from .solvers import SOLVER_KNOBS, SOLVER_NAMES, SolverConfig
+from .solvers import SOLVER_KNOBS, SOLVER_NAMES, check_knob
 from .tomo import TomoGeometry
 
-_TIMING_MODES = ("wall", "off")
+TIMING_MODES = ("wall", "off")
 
 
 class ConfigError(ValueError):
@@ -42,13 +43,9 @@ class ConfigError(ValueError):
 
 
 def _check_solver_knob(name, key, value):
-    """Raise ValueError when a knob's value is out of range for solver name;
-    every key but alpha is checked by SolverConfig itself, and Newton also
-    needs a smoothed transform."""
-    if key != "alpha":
-        SolverConfig(**{key: value})
-    elif value != "auto" and not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-        raise ValueError('alpha must be "auto" or a finite number > 0')
+    """Raise ValueError when a knob's value is out of range for solver name:
+    check_knob's rules, and Newton also needs a smoothed transform."""
+    check_knob(key, value)
     if name == "newton" and key == "epsilon" and value == 0.0:
         raise ValueError("epsilon must be > 0 for newton")
 
@@ -92,8 +89,8 @@ def _check_field(key, value):
             raise ValueError(f"{key} must be >= 0, got {value}")
     if key == "out" and (not isinstance(value, (str, os.PathLike)) or value == ""):
         raise ValueError(f"out must name a directory, got {value!r}")
-    if key == "timing" and value not in _TIMING_MODES:
-        raise ValueError(f"timing must be one of {', '.join(_TIMING_MODES)}, got {value!r}")
+    if key == "timing" and value not in TIMING_MODES:
+        raise ValueError(f"timing must be one of {', '.join(TIMING_MODES)}, got {value!r}")
     if key == "solver_overrides":
         for name, knobs in value.items():
             _check_solver_name(name)
@@ -158,7 +155,7 @@ _GEOMETRY_KEYS = {"m": partial(_parse, int), "n_angles": partial(_parse, int),
 _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_list,
                     "repetitions": partial(_parse, int), "seed": partial(_parse, int),
                     "out": partial(_parse, str), "timing": partial(_parse, str)}
-_SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, _) in SOLVER_KNOBS.items()}
+_SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, *_) in SOLVER_KNOBS.items()}
 
 
 def _section_schema(section, line_no):
@@ -188,7 +185,8 @@ def parse_config(path) -> ExperimentConfig:
     schema = check = None
     for line_no, raw in enumerate(raw_lines, start=1):
         try:
-            line = raw.decode("utf-8").strip()
+            # utf-8-sig drops the byte order mark that some editors write first
+            line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8").strip()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"line {line_no}: not UTF-8 text ({exc.reason})") from None
         if not line or line.startswith("#"):

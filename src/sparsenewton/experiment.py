@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _check_solver_name
 from .functionals import ProblemData, back_transform
-from .solvers import RUNNERS, SOLVER_KNOBS, SOLVER_NAMES, SolverConfig, resolve_auto
+from .solvers import RUNNERS, SOLVER_KNOBS, SolverConfig, resolve_auto
 from .tomo import NoiseModel, ProblemInstance, add_noise, build_parallel_tomo, shepp_logan, write_pgm
 
 SCHEMA_LINE = "# schema=1"
@@ -43,9 +43,8 @@ def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
     An "auto" (or unset) weight is ALPHA_COEFF * delta, or a small multiple
     of ||y_delta|| in the noise-free case (see resolve_auto).
     """
-    if name not in RUNNERS:
-        raise ValueError(f"unknown solver '{name}'; available: {', '.join(SOLVER_NAMES)}")
-    opts = {key: methods[name] for key, (_, methods) in SOLVER_KNOBS.items() if name in methods}
+    _check_solver_name(name)
+    opts = {key: methods[name] for key, (*_, methods) in SOLVER_KNOBS.items() if name in methods}
     opts.update(overrides)
     alpha = resolve_auto(opts.pop("alpha", None), ALPHA_COEFF, delta, y_delta)
     return SolverConfig(**opts), alpha

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -53,8 +53,6 @@ TR_ACCEPT = 1e-4  # a trial step is taken when rho = actual / predicted decrease
 TR_SHRINK = 0.25  # rho < TR_SHRINK: the radius becomes TR_SHRINK * ||s||
 TR_EXPAND = 0.75  # rho > TR_EXPAND on the boundary: the radius doubles
 
-_KNOB_WORDS = {"epsilon": (None, "auto"), "omega": ("auto",)}  # accepted besides numbers
-
 STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITER = "max_iter"
 STOP_STAGNATION = "stagnation"
@@ -68,13 +66,14 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Knobs shared by all runners; unknown to a given method = ignored by it.
 
-    The field defaults are the common defaults of the solver knobs; the
-    per-method ones are in SOLVER_KNOBS.  The regularization weight is
-    ProblemData.alpha.  epsilon semantics: None picks the method's default from
-    SOLVER_KNOBS; "auto" resolves to 1e-4 * delta (see resolve_auto).  omega
-    "auto" is 0.9 / ||A||_2^2 with the norm estimated by power iterations run
-    until the estimate repeats, at most 100.
-    max_iter and warm_start take Python or numpy integers.
+    The field defaults are the common defaults of the solver knobs.  The
+    rules live in SOLVER_KNOBS: each knob's type, floor and per-method
+    defaults, which check_knob applies to every field but x0 (checked by the
+    runners).  The regularization weight is ProblemData.alpha.  epsilon
+    semantics: None picks the method's default from SOLVER_KNOBS; "auto"
+    resolves to 1e-4 * delta (see resolve_auto).  omega "auto" is
+    0.9 / ||A||_2^2 with the norm estimated by power iterations run until the
+    estimate repeats, at most 100.
     """
 
     epsilon: object = None
@@ -87,30 +86,10 @@ class SolverConfig:
     warm_start: int = 0
 
     def __post_init__(self):
-        for knob in ("epsilon", "tau", "omega", "inner_tol", "grad_tol"):
-            value = getattr(self, knob)
-            if value in _KNOB_WORDS.get(knob, ()):
-                continue
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{knob} must be a number, got {value!r}")
-            if not np.isfinite(value):
-                raise ValueError(f"{knob} must be finite, got {value!r}")
-        for knob in ("max_iter", "warm_start"):
-            value = getattr(self, knob)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{knob} must be an integer, got {value!r}")
-        if self.epsilon not in (None, "auto") and self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
-        if self.tau <= 1.0:
-            raise ValueError("tau must exceed 1")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
-        if self.inner_tol < 0.0 or self.grad_tol < 0.0:
-            raise ValueError("tolerances must be >= 0")
-        if self.warm_start < 0:
-            raise ValueError("warm_start must be >= 0")
-        if self.omega != "auto" and self.omega <= 0.0:
-            raise ValueError('omega must be "auto" or a positive real')
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in SOLVER_KNOBS and not (f.name == "epsilon" and value is None):
+                check_knob(f.name, value)
 
 
 @dataclass
@@ -162,7 +141,7 @@ def resolve_auto(value, coeff: float, delta: float, y_delta) -> float:
 def _transform_spec(cfg: SolverConfig, delta: float, y_delta, method: str) -> TransformSpec:
     """The method's transform: cfg.epsilon, or the method's default when
     unset; "auto" is 1e-4 * delta."""
-    epsilon = SOLVER_KNOBS["epsilon"][1][method] if cfg.epsilon is None else cfg.epsilon
+    epsilon = SOLVER_KNOBS["epsilon"][3][method] if cfg.epsilon is None else cfg.epsilon
     return TransformSpec(resolve_auto(epsilon, 1e-4, delta, y_delta))
 
 
@@ -498,8 +477,11 @@ def _float_or_auto(text: str):
     return "auto" if text == "auto" else float(text)
 
 
-# The solver knobs of a config file: key -> (parser, per-method defaults).
-# A key's common default is its SolverConfig field default, except alpha,
+# The solver knobs: key -> (parser, floor, floor allowed, per-method defaults).
+# The parser reads a config file's value (_float_or_auto also takes "auto");
+# a value other than "auto" must be an integer (int knobs) or a finite real
+# above the floor, or at it when the floor is allowed (see check_knob).  A
+# key's common default is its SolverConfig field default, except alpha,
 # which is no SolverConfig field: it becomes ProblemData.alpha, and unset it
 # means the sweep's "auto" weight.  The methods on the substituted variable
 # cannot move from exactly zero (the Jacobian diagonal vanishes there), so
@@ -510,12 +492,30 @@ def _float_or_auto(text: str):
 # products, for a larger error in Newton's case (mean 0.0499 against 0.0419)
 # and an error 1.2% smaller in LM's (0.0386 against 0.0391).
 SOLVER_KNOBS = {
-    "alpha": (_float_or_auto, {}),
-    "epsilon": (_float_or_auto, {"gd": 0.0, "lm": 0.0, "newton": "auto"}),
-    "tau": (float, {}),
-    "omega": (_float_or_auto, {}),
-    "max_iter": (int, {"ista": 50000, "fista": 20000, "gd": 2000, "lm": 50, "newton": 50}),
-    "inner_tol": (float, {"lm": 5e-2, "newton": 0.2}),
-    "grad_tol": (float, {}),
-    "warm_start": (int, {"gd": 5, "lm": 5, "newton": 5}),
+    "alpha": (_float_or_auto, 0, False, {}),
+    "epsilon": (_float_or_auto, 0, True, {"gd": 0.0, "lm": 0.0, "newton": "auto"}),
+    "tau": (float, 1, False, {}),
+    "omega": (_float_or_auto, 0, False, {}),
+    "max_iter": (int, 0, True, {"ista": 50000, "fista": 20000, "gd": 2000, "lm": 50, "newton": 50}),
+    "inner_tol": (float, 0, True, {"lm": 5e-2, "newton": 0.2}),
+    "grad_tol": (float, 0, True, {}),
+    "warm_start": (int, 0, True, {"gd": 5, "lm": 5, "newton": 5}),
 }
+
+
+def check_knob(key: str, value) -> None:
+    """Raise ValueError unless SOLVER_KNOBS[key]'s row takes value."""
+    parse, floor, floor_allowed, _ = SOLVER_KNOBS[key]
+    if parse is _float_or_auto and value == "auto":
+        return
+    if parse is int:
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    elif not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    elif not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if floor_allowed and value < floor:
+        raise ValueError(f"{key} must be >= {floor}, got {value!r}")
+    if not floor_allowed and value <= floor:
+        raise ValueError(f"{key} must exceed {floor}, got {value!r}")

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparsenewton import ConfigError, ExperimentConfig, TomoGeometry, parse_config
+from sparsenewton import (
+    ConfigError,
+    ExperimentConfig,
+    ProblemData,
+    SolverConfig,
+    SparseMatrix,
+    TomoGeometry,
+    parse_config,
+)
 from sparsenewton.solvers import SOLVER_KNOBS
 
 MINIMAL = """\
@@ -87,11 +95,11 @@ def test_config_error_is_value_error():
 @pytest.mark.parametrize("extra,message", [
     ("[solver.ista]\ntau = 0.9\n", r"line 9: tau must exceed 1"),
     ("[solver.lm]\nlm_decay = 0.5\n", r"line 9: unknown key 'lm_decay' in section \[solver.lm\]"),
-    ("[solver.ista]\nomega = -5.0\n", r"line 9: omega must be \"auto\" or a positive real"),
+    ("[solver.ista]\nomega = -5.0\n", r"line 9: omega must exceed 0, got -5.0"),
     ("[solver.newton]\nepsilon = -1\n", r"line 9: epsilon must be >= 0"),
     ("[solver.gd]\nmax_iter = -3\n", r"line 9: max_iter must be >= 0"),
-    ("[solver.fista]\nalpha = 0\n", r"line 9: alpha must be \"auto\" or a finite number > 0"),
-    ("[solver.fista]\nalpha = inf\n", r"line 9: alpha must be \"auto\" or a finite number > 0"),
+    ("[solver.fista]\nalpha = 0\n", r"line 9: alpha must exceed 0, got 0.0"),
+    ("[solver.fista]\nalpha = inf\n", r"line 9: alpha must be finite, got inf"),
     ("[solver.newton]\ntau = nan\n", r"line 9: tau must be finite, got nan"),
     ("[solver.newton]\ninner_tol = nan\n", r"line 9: inner_tol must be finite, got nan"),
     ("[solver.gd]\ngrad_tol = inf\n", r"line 9: grad_tol must be finite, got inf"),
@@ -172,6 +180,50 @@ def test_non_utf8_file_cites_its_line(tmp_path):
 def test_invalid_geometry_reported(tmp_path):
     with pytest.raises(ConfigError, match=r"invalid geometry: .*>= 1"):
         parse_config(write(tmp_path, MINIMAL.replace("m = 32", "m = 0")))
+
+
+def test_bom_and_crlf_file_parses_like_the_plain_file(tmp_path):
+    plain = write(tmp_path, MINIMAL + "[solver.newton]\ntau = 1.5\n")
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    assert parse_config(marked) == parse_config(plain)
+
+
+def rejection(make):
+    """The message make() fails with, or None when it passes."""
+    try:
+        make()
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("key", SOLVER_KNOBS)
+def test_solver_file_lines_pass_exactly_what_code_passes(tmp_path, key):
+    """A [solver.gd] line parses exactly when the value it parses to passes
+    SolverConfig (alpha: is "auto" or passes ProblemData), with the message
+    an ExperimentConfig built in code gives.  A text the key's parser cannot
+    read goes to the code paths as the string itself."""
+    parse = SOLVER_KNOBS[key][0]
+    problem = (SparseMatrix(1, 1, [0, 1], [0], [1.0]), [1.0])
+    for text in ("0", "1", "1.0000001", "-1", "nan", "inf", "auto", "2.5", "x"):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text
+        path = write(tmp_path, MINIMAL + f"[solver.gd]\n{key} = {text}\n")
+        in_file = rejection(lambda: parse_config(path))
+        if in_file is not None:
+            assert in_file.startswith("line 9: ")
+            in_file = in_file[len("line 9: "):]
+        in_code = rejection(lambda: ExperimentConfig(
+            TomoGeometry(32, 60, 45), ["gd"], solver_overrides={"gd": {key: value}}))
+        assert in_file == in_code, text
+        if key == "alpha":
+            accepted = value == "auto" or rejection(lambda: ProblemData(*problem, value)) is None
+            assert (in_file is None) == accepted, text
+        else:
+            assert in_file == rejection(lambda: SolverConfig(**{key: value})), text
 
 
 def test_missing_file_raises_os_error(tmp_path):

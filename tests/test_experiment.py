@@ -203,9 +203,9 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
     ({"geometry": (12, 6, 14)}, "geometry must be a TomoGeometry"),
     ({"solver_overrides": {"bfgs": {}}}, "unknown solver 'bfgs'"),
     ({"solver_overrides": {"ista": {"ripple": 1}}}, "unknown solver knob 'ripple' for ista"),
-    ({"solver_overrides": {"ista": {"omega": -5.0}}}, "omega must be \"auto\" or a positive real"),
+    ({"solver_overrides": {"ista": {"omega": -5.0}}}, "omega must exceed 0, got -5.0"),
     ({"solver_overrides": {"newton": {"epsilon": 0.0}}}, "epsilon must be > 0 for newton"),
-    ({"solver_overrides": {"ista": {"alpha": "x"}}}, "alpha must be \"auto\" or a finite number > 0"),
+    ({"solver_overrides": {"ista": {"alpha": "x"}}}, "alpha must be a number, got 'x'"),
     ({"solver_overrides": {"ista": {"tau": "1.5"}}}, "tau must be a number, got '1.5'"),
     ({"noise_levels": 0.1}, "noise_levels must be a list of numbers, got 0.1"),
     ({"noise_levels": ["0.1"]}, "noise levels must be >= 0 and finite, got '0.1'"),

@@ -4,13 +4,14 @@ tracer still finds every name it wraps."""
 
 import argparse
 import ast
+import dataclasses
 import re
 import types
 from pathlib import Path
 
 import pytest
 
-from sparsenewton import ExperimentConfig, TomoGeometry, experiment, parse_config
+from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, experiment, parse_config
 from sparsenewton.cli import build_parser
 from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
@@ -51,9 +52,28 @@ def readme_block(first_word):
 
 
 def test_readme_knob_table_lists_exactly_the_solver_knobs():
-    keys = re.findall(r"^\| `(\w+)` \|", README, flags=re.M)
-    assert sorted(keys) == sorted(SOLVER_KNOBS)
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|", README, flags=re.M)
+    assert sorted(key for key, _, _ in rows) == sorted(SOLVER_KNOBS)
     assert f"takes these {len(SOLVER_KNOBS)} keys" in README
+    common = {f.name: f.default for f in dataclasses.fields(SolverConfig)} | {"alpha": "auto"}
+    for key, range_text, default_text in rows:
+        parse, floor, floor_allowed, methods = SOLVER_KNOBS[key]
+        expected = ("integer " if parse is int else "") + f"`{'>=' if floor_allowed else '>'} {floor}`"
+        try:
+            expected += " or `auto`" if parse("auto") == "auto" else ""
+        except ValueError:
+            pass
+        assert range_text == expected, key
+        named = set()
+        for group in default_text.split("; "):
+            names, value = re.fullmatch(r"(?:([\w, ]+) )?`([^`]+)`", group).groups()
+            if names is None:  # the common default
+                assert parse(value) == common[key], key
+                continue
+            for name in names.split(", "):
+                assert parse(value) == methods.get(name, common[key]), (key, name)
+                named.add(name)
+        assert set(methods) <= named, key
 
 
 def test_readme_config_example_parses(tmp_path):
