@@ -36,7 +36,6 @@ from .solvers import (
     soft_threshold,
 )
 from .tomo import (
-    NoiseModel,
     ProblemInstance,
     TomoGeometry,
     add_noise,

@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="base seed (overrides the config)")
     p.add_argument("--solver", choices=SOLVER_NAMES, help="restrict to one solver")
     p.add_argument("--noise", type=float, help="restrict to one noise level")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timing", choices=TIMING_MODES,
                    help="wall-clock columns or zeros (byte-reproducible)")
 
@@ -62,7 +61,7 @@ def _load_config(args):
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    rows = run_experiment(config, threads=args.threads)
+    rows = run_experiment(config)
     print(SUMMARY_HEADER)
     for row in rows:
         print(row)

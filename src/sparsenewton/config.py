@@ -18,8 +18,9 @@ Minimal valid file::
     [experiment]
     solvers = ista, newton
 
-Defaults fill in everything else: noise_levels = 0.1, repetitions = 1,
-seed = 0, out = results, timing = wall.
+Defaults fill in everything else: spacing = m / n_beams (the detector
+spacing, > 0), noise_levels = 0.1, repetitions = 1, seed = 0, out = results
+(the output directory), timing = wall.
 """
 
 from __future__ import annotations
@@ -143,9 +144,8 @@ def _parse_float_list(text, line_no, key):
 
 def _check_geometry(key, value):
     """Check one [geometry] key against TomoGeometry's own rules."""
-    field_name = "detector_spacing" if key == "spacing" else key
     try:
-        TomoGeometry(**{"m": 1, "n_angles": 1, "n_beams": 1, field_name: value})
+        TomoGeometry(**{"m": 1, "n_angles": 1, "n_beams": 1, key: value})
     except ValueError as exc:
         raise ValueError(f"invalid geometry: {exc}") from None
 
@@ -227,9 +227,7 @@ def parse_config(path) -> ExperimentConfig:
         if (sec, key) not in first_line:
             raise ConfigError(f"missing required key '{key}' in section [{sec}]")
 
-    geometry = sections.pop("geometry")
-    if "spacing" in geometry:
-        geometry["detector_spacing"] = geometry.pop("spacing")
+    geometry = TomoGeometry(**sections.pop("geometry"))
     experiment = sections.pop("experiment")
     overrides = {sec[len("solver."):]: knobs for sec, knobs in sections.items()}
-    return ExperimentConfig(TomoGeometry(**geometry), solver_overrides=overrides, **experiment)
+    return ExperimentConfig(geometry, solver_overrides=overrides, **experiment)

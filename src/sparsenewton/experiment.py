@@ -14,7 +14,6 @@ which makes repeated runs with the same seed byte-identical.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 from .config import ExperimentConfig, _check_solver_name
 from .functionals import ProblemData, back_transform
 from .solvers import RUNNERS, SOLVER_KNOBS, SolverConfig, resolve_auto
-from .tomo import NoiseModel, ProblemInstance, add_noise, build_parallel_tomo, shepp_logan, write_pgm
+from .tomo import ProblemInstance, add_noise, build_parallel_tomo, shepp_logan, write_pgm
 
 SCHEMA_LINE = "# schema=1"
 SUMMARY_HEADER = "solver,noise_rel,n_star,stop_reason,wall_s,residual,rel_error"
@@ -97,9 +96,8 @@ def build_instances(config: ExperimentConfig):
     instances = {}
     for li, level in enumerate(config.noise_levels):
         for rep in range(config.repetitions):
-            seed = noise_seed_for(config.seed, li, rep)
-            y_delta, delta = add_noise(y, NoiseModel(level, seed))
-            instances[(li, rep)] = ProblemInstance(A, x_true, y, y_delta, delta)
+            y_delta, delta = add_noise(y, level, noise_seed_for(config.seed, li, rep))
+            instances[(li, rep)] = ProblemInstance(A, x_true, y_delta, delta)
     return instances
 
 
@@ -115,24 +113,20 @@ def write_trace_csv(path, trace):
 def run_experiment(config: ExperimentConfig, threads: int = 1):
     """Run the full sweep; writes summary, traces and reconstructions.
 
-    Returns the list of summary rows (strings, without the header).
+    Returns the list of summary rows (strings, without the header).  Cells
+    run one after another: threads must be 1, the value perfbench/run.py
+    passes.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     instances = build_instances(config)
-
-    tasks = []
-    for li, level in enumerate(config.noise_levels):
-        for rep in range(config.repetitions):
-            for name in config.solvers:
-                overrides = config.solver_overrides.get(name, {})
-                tasks.append((name, overrides, instances[(li, rep)], level, rep))
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _run_cell(*t, config.timing), tasks))
-    else:
-        results = [_run_cell(*t, config.timing) for t in tasks]
+    results = [_run_cell(name, config.solver_overrides.get(name, {}), instances[(li, rep)],
+                         level, rep, config.timing)
+               for li, level in enumerate(config.noise_levels)
+               for rep in range(config.repetitions)
+               for name in config.solvers]
 
     rows = []
     for result in results:

@@ -17,6 +17,7 @@ Geometry conventions (all lengths in pixel units):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,24 +35,25 @@ MAX_NNZ_BOUND = 50_000_000
 
 @dataclass(frozen=True)
 class TomoGeometry:
-    """Parallel-beam layout: m x m pixels, n_angles views, n_beams per view."""
+    """Parallel-beam layout: m x m pixels, n_angles views, n_beams per view,
+    spacing between neighboring beams (None: m / n_beams, so the beams span
+    the image width)."""
 
     m: int
     n_angles: int
     n_beams: int
-    detector_spacing: Optional[float] = None  # None: m / n_beams
+    # None is resolved in beam_offsets, not stored: dataclasses.replace would
+    # carry a stored default over to a geometry with another m or n_beams
+    spacing: Optional[float] = None
 
     def __post_init__(self):
         for name in ("m", "n_angles", "n_beams"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.detector_spacing is not None and not 0.0 < self.detector_spacing < np.inf:
-            raise ValueError(f"spacing must be finite and > 0, got {self.detector_spacing}")
-
-    @property
-    def spacing(self) -> float:
-        return self.m / self.n_beams if self.detector_spacing is None else self.detector_spacing
+        if self.spacing is not None and not (isinstance(self.spacing, numbers.Real)
+                                             and 0.0 < self.spacing < np.inf):
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing!r}")
 
     @property
     def n_rows(self) -> int:
@@ -67,26 +69,14 @@ class TomoGeometry:
 
     @property
     def beam_offsets(self) -> np.ndarray:
-        return (np.arange(self.n_beams) - 0.5 * (self.n_beams - 1)) * self.spacing
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Relative Gaussian-direction noise: y_delta = y + rel_level ||y|| r, ||r|| = 1."""
-
-    rel_level: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.rel_level) or self.rel_level < 0.0:
-            raise ValueError("rel_level must be finite and >= 0")
+        spacing = self.m / self.n_beams if self.spacing is None else self.spacing
+        return (np.arange(self.n_beams) - 0.5 * (self.n_beams - 1)) * spacing
 
 
 @dataclass
 class ProblemInstance:
     A: SparseMatrix
     x_true: np.ndarray
-    y: np.ndarray
     y_delta: np.ndarray
     delta: float
 
@@ -215,15 +205,19 @@ def build_parallel_tomo(geom: TomoGeometry) -> SparseMatrix:
     return SparseMatrix(geom.n_rows, geom.n_cols, row_offsets, cols, vals)
 
 
-def add_noise(y, model: NoiseModel):
-    """Returns (y_delta, delta) with delta = rel_level * ||y||_2 exactly."""
+def add_noise(y, rel_level: float, seed: int = 0):
+    """Relative Gaussian-direction noise: returns (y_delta, delta) with
+    y_delta = y + delta r, r a unit vector drawn from seed, and
+    delta = rel_level * ||y||_2 exactly."""
+    if not np.isfinite(rel_level) or rel_level < 0.0:
+        raise ValueError("rel_level must be finite and >= 0")
     y = as_vector(y)
-    if model.rel_level == 0.0:
+    if rel_level == 0.0:
         return y.copy(), 0.0
-    rng = np.random.default_rng(model.seed)
+    rng = np.random.default_rng(seed)
     r = rng.standard_normal(y.size)
     r /= np.linalg.norm(r)
-    delta = model.rel_level * float(np.linalg.norm(y))
+    delta = rel_level * float(np.linalg.norm(y))
     return y + delta * r, delta
 
 

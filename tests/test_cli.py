@@ -133,6 +133,13 @@ def test_verify_rejects_a_bad_seed_as_a_usage_error(capsys, seed):
     assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_threads_flag_as_a_usage_error(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(config_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_verify_passes(capsys):
     code = main(["verify", "--seed", "0"])
     out = capsys.readouterr().out

@@ -72,7 +72,7 @@ def test_full_file_parses(tmp_path):
         alpha = 0.02
         omega = auto
         """))
-    assert cfg.geometry.detector_spacing == 0.5
+    assert cfg.geometry.spacing == 0.5
     assert cfg.noise_levels == [0.05, 0.1]
     assert cfg.repetitions == 2
     assert cfg.seed == 7

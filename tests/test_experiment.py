@@ -85,10 +85,9 @@ def test_build_instances_shares_the_matrix():
     instances = build_instances(cfg)
     assert len(instances) == 4
     assert instances[(0, 0)].A is instances[(1, 1)].A
-    for inst in instances.values():
-        np.testing.assert_array_equal(inst.y, inst.A.matvec(inst.x_true))
-    assert instances[(0, 0)].delta == pytest.approx(0.1 * np.linalg.norm(instances[(0, 0)].y),
-                                                    rel=1e-15)
+    y = instances[(0, 0)].A.matvec(instances[(0, 0)].x_true)
+    for (li, _), inst in instances.items():
+        assert inst.delta == pytest.approx(cfg.noise_levels[li] * np.linalg.norm(y), rel=1e-15)
     # same level, different rep: same magnitude, different direction
     assert instances[(0, 0)].delta == instances[(0, 1)].delta
     diff = np.linalg.norm(instances[(0, 0)].y_delta - instances[(0, 1)].y_delta)
@@ -175,6 +174,15 @@ def test_zero_repetitions_yields_empty_summary(tmp_path):
     rows = run_experiment(ExperimentConfig(GEOM, ["ista"], [0.1], 0, 0, str(out), "off"))
     assert rows == []
     assert read_rows(out / "summary.csv") == []
+
+
+def test_threads_must_be_one(tmp_path):
+    out = tmp_path / "threads"
+    cfg = ExperimentConfig(GEOM, ["ista"], [0.1], 1, 0, str(out), "off")
+    with pytest.raises(ValueError, match="threads must be 1, got 2"):
+        run_experiment(cfg, threads=2)
+    assert not out.exists()
+    assert len(run_experiment(cfg, threads=1)) == 1  # perfbench/run.py's call
 
 
 def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, experiment, parse_config
+from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, config, experiment, parse_config
 from sparsenewton.cli import build_parser
 from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
@@ -82,14 +82,28 @@ def test_readme_config_example_parses(tmp_path):
     assert parse_config(path).solver_overrides == {"newton": {"epsilon": "auto", "max_iter": 50}}
 
 
+def subcommands(parser):
+    """The parser's sub-parsers by name."""
+    (choices,) = [a.choices for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return choices
+
+
 def test_readme_command_lines_name_exactly_the_subcommands():
     parser = build_parser()
-    (subcommands,) = [a.choices for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)]
     lines = readme_block("sparsenewton ").splitlines()
-    assert {line.split()[1] for line in lines} == set(subcommands)
+    assert {line.split()[1] for line in lines} == set(subcommands(parser))
     for line in lines:
         parser.parse_args(line.split()[1:])
+
+
+def test_readme_names_every_config_key_and_sweep_option():
+    for key in [*config._GEOMETRY_KEYS, *config._EXPERIMENT_KEYS]:
+        assert re.search(rf"`{key}`|^{key} = ", README, flags=re.M), key
+    for action in subcommands(build_parser())["sweep"]._actions:
+        if not isinstance(action, argparse._HelpAction):
+            for option in action.option_strings:
+                assert re.search(rf"{option}\b", README), option
 
 
 def test_every_benchmark_trace_wrapper_fires(tmp_path):

@@ -12,7 +12,6 @@ from sparsenewton import (
     CurvatureError,
     DivergenceError,
     ExperimentConfig,
-    NoiseModel,
     ProblemData,
     SolverConfig,
     SparseMatrix,
@@ -353,7 +352,7 @@ def test_lm_preconditions_its_cg_with_the_diagonal_of_the_normal_operator(monkey
     # operator has a unit diagonal, and which CG solves in fewer iterations
     # than M s = b
     A = build_parallel_tomo(TomoGeometry(16, 24, 20))
-    y_delta, delta = add_noise(A.matvec(shepp_logan(16)), NoiseModel(0.01, 0))
+    y_delta, delta = add_noise(A.matvec(shepp_logan(16)), 0.01, 0)
     cfg, alpha = make_solver_config("lm", {}, delta, y_delta)
     solves, rows = [], []
     cg = solvers.cg_solve
@@ -617,7 +616,7 @@ def test_each_iterate_image_is_computed_once(name, monkeypatch):
 def gd_sweep_cell():
     """A small tomography cell at 1% noise with the sweep's GD knobs."""
     A = build_parallel_tomo(TomoGeometry(12, 18, 16))
-    y_delta, delta = add_noise(A.matvec(shepp_logan(12)), NoiseModel(0.01, 0))
+    y_delta, delta = add_noise(A.matvec(shepp_logan(12)), 0.01, 0)
     cfg, alpha = make_solver_config("gd", {}, delta, y_delta)
     return ProblemData(A, y_delta, alpha), cfg, delta
 

@@ -1,5 +1,6 @@
 """Geometry, ray tracing, phantom, noise and file formats."""
 
+import dataclasses
 import hashlib
 import sys
 import tracemalloc
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsenewton import (
-    NoiseModel,
     TomoGeometry,
     add_noise,
     build_parallel_tomo,
@@ -31,13 +31,17 @@ def test_geometry_validation():
     with pytest.raises(ValueError, match="m must be an integer >= 1, got 12.5"):
         TomoGeometry(12.5, 6, 14)
     with pytest.raises(ValueError, match="spacing"):
-        TomoGeometry(4, 4, 4, detector_spacing=-1.0)
+        TomoGeometry(4, 4, 4, spacing=-1.0)
+    with pytest.raises(ValueError, match="spacing must be finite and > 0, got 'a'"):
+        TomoGeometry(4, 4, 4, spacing="a")
 
 
 def test_geometry_properties():
     g = TomoGeometry(10, 4, 5)
-    assert g.spacing == 2.0  # m / n_beams
-    assert TomoGeometry(10, 4, 5, detector_spacing=0.7).spacing == 0.7
+    assert g.spacing is None  # m / n_beams = 2, resolved in beam_offsets
+    np.testing.assert_allclose(dataclasses.replace(g, n_beams=2).beam_offsets, [-2.5, 2.5])
+    np.testing.assert_allclose(TomoGeometry(10, 4, 5, spacing=0.7).beam_offsets,
+                               [-1.4, -0.7, 0.0, 0.7, 1.4])
     assert g.n_rows == 20
     assert g.n_cols == 100
     np.testing.assert_allclose(g.angles_deg, [0.0, 45.0, 90.0, 135.0])
@@ -48,9 +52,9 @@ def test_geometry_properties():
 
 def test_noise_model_validation():
     with pytest.raises(ValueError, match="rel_level"):
-        NoiseModel(-0.1)
+        add_noise(np.ones(3), -0.1)
     with pytest.raises(ValueError, match="rel_level"):
-        NoiseModel(float("nan"))
+        add_noise(np.ones(3), float("nan"))
 
 
 def test_horizontal_ray_unit_chords():
@@ -239,7 +243,7 @@ def test_projector_keeps_int64_indices_on_a_grid_wider_than_int32(m):
 def test_projection_mass_consistency():
     # beams at spacing 0.5 tile each view, so sum_k spacing * (A 1)_row
     # approximates the total area m^2 independently for every angle
-    g = TomoGeometry(20, 8, 80, detector_spacing=0.5)
+    g = TomoGeometry(20, 8, 80, spacing=0.5)
     sums = build_parallel_tomo(g).matvec(np.ones(g.n_cols))
     per_angle = sums.reshape(g.n_angles, g.n_beams).sum(axis=1) * g.spacing
     np.testing.assert_allclose(per_angle, 400.0, rtol=2e-3)
@@ -276,23 +280,23 @@ def test_phantom_rejects_empty_grid():
 def test_add_noise_magnitude_is_exact():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(40)
-    y_delta, delta = add_noise(y, NoiseModel(0.1, seed=5))
+    y_delta, delta = add_noise(y, 0.1, seed=5)
     assert delta == pytest.approx(0.1 * np.linalg.norm(y), rel=1e-15)
     assert np.linalg.norm(y_delta - y) == pytest.approx(delta, rel=1e-12)
 
 
 def test_add_noise_seed_determinism():
     y = np.linspace(1.0, 2.0, 30)
-    a, _ = add_noise(y, NoiseModel(0.2, seed=7))
-    b, _ = add_noise(y, NoiseModel(0.2, seed=7))
-    c, _ = add_noise(y, NoiseModel(0.2, seed=8))
+    a, _ = add_noise(y, 0.2, seed=7)
+    b, _ = add_noise(y, 0.2, seed=7)
+    c, _ = add_noise(y, 0.2, seed=8)
     np.testing.assert_array_equal(a, b)
     assert np.linalg.norm(a - c) > 0.0
 
 
 def test_add_noise_zero_level_copies():
     y = np.ones(5)
-    y_delta, delta = add_noise(y, NoiseModel(0.0))
+    y_delta, delta = add_noise(y, 0.0)
     assert delta == 0.0
     np.testing.assert_array_equal(y_delta, y)
     assert y_delta is not y
