@@ -74,15 +74,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return _cmd_run(args)
-        if args.command == "verify":
-            return 0 if selfcheck.run_all(args.seed) else 1
+        return 0 if selfcheck.run_all(args.seed) else 1  # verify, the other sub-command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

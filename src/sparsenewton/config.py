@@ -131,8 +131,7 @@ def _parse(parse, text, line_no, key):
 
 
 def _parse_str_list(text, line_no, key):
-    items = [part.strip() for part in text.split(",")]
-    items = [part for part in items if part]
+    items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ConfigError(f"line {line_no}: {key} must list at least one item")
     return items

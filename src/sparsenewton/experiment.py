@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig, _check_solver_name
 from .functionals import ProblemData, back_transform
-from .solvers import RUNNERS, SOLVER_KNOBS, SolverConfig, resolve_auto
+from .solvers import RUNNERS, SolverConfig, resolve_auto
 from .tomo import ProblemInstance, add_noise, build_parallel_tomo, shepp_logan, write_pgm
 
 SCHEMA_LINE = "# schema=1"
@@ -43,10 +43,9 @@ def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
     of ||y_delta|| in the noise-free case (see resolve_auto).
     """
     _check_solver_name(name)
-    opts = {key: methods[name] for key, (*_, methods) in SOLVER_KNOBS.items() if name in methods}
-    opts.update(overrides)
-    alpha = resolve_auto(opts.pop("alpha", None), ALPHA_COEFF, delta, y_delta)
-    return SolverConfig(**opts), alpha
+    knobs = dict(overrides)
+    alpha = resolve_auto(knobs.pop("alpha", None), ALPHA_COEFF, delta, y_delta)
+    return SolverConfig(**knobs).for_method(name), alpha
 
 
 def run_solver(name: str, p: ProblemData, cfg: SolverConfig, delta: float, **kwargs):
@@ -121,20 +120,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1):
         raise ValueError(f"threads must be 1, got {threads!r}")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    instances = build_instances(config)
-    results = [_run_cell(name, config.solver_overrides.get(name, {}), instances[(li, rep)],
-                         level, rep, config.timing)
-               for li, level in enumerate(config.noise_levels)
-               for rep in range(config.repetitions)
-               for name in config.solvers]
-
     rows = []
-    for result in results:
-        rows.append(result.summary_row())
-        if result.error is None:
-            stem = f"{result.solver}_{result.noise_rel:g}_{result.rep}"
-            write_trace_csv(out / f"trace_{stem}.csv", result.trace)
-            write_pgm(out / f"recon_{stem}.pgm", result.x_image, config.geometry.m)
+    for (li, rep), instance in build_instances(config).items():
+        for name in config.solvers:
+            result = _run_cell(name, config.solver_overrides.get(name, {}), instance,
+                               config.noise_levels[li], rep, config.timing)
+            rows.append(result.summary_row())
+            if result.error is None:
+                stem = f"{result.solver}_{result.noise_rel:g}_{result.rep}"
+                write_trace_csv(out / f"trace_{stem}.csv", result.trace)
+                write_pgm(out / f"recon_{stem}.pgm", result.x_image, config.geometry.m)
 
     with open(out / "summary.csv", "w", encoding="ascii") as fh:
         fh.write(SCHEMA_LINE + "\n" + SUMMARY_HEADER + "\n")

@@ -66,30 +66,38 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Knobs shared by all runners; unknown to a given method = ignored by it.
 
-    The field defaults are the common defaults of the solver knobs.  The
-    rules live in SOLVER_KNOBS: each knob's type, floor and per-method
-    defaults, which check_knob applies to every field but x0 (checked by the
-    runners).  The regularization weight is ProblemData.alpha.  epsilon
-    semantics: None picks the method's default from SOLVER_KNOBS; "auto"
-    resolves to 1e-4 * delta (see resolve_auto).  omega "auto" is
-    0.9 / ||A||_2^2 with the norm estimated by power iterations run until the
-    estimate repeats, at most 100.
+    The rules live in SOLVER_KNOBS: each knob's type, floor and per-method
+    defaults, which check_knob applies to every set field but x0 (checked by
+    the runners).  A knob with per-method defaults (epsilon, max_iter,
+    inner_tol, warm_start) defaults to None, unset, and for_method fills in
+    the method's default; the others default to their field literal.  So
+    SolverConfig() runs each method as a sweep cell does; inner_tol = 1e-10
+    solves LM's and Newton's inner systems almost exactly.  The
+    regularization weight is ProblemData.alpha.  epsilon "auto" resolves to
+    1e-4 * delta (see resolve_auto).  omega "auto" is 0.9 / ||A||_2^2 with
+    the norm estimated by power iterations run until the estimate repeats, at
+    most 100.
     """
 
     epsilon: object = None
     tau: float = 1.1
     omega: object = "auto"
-    max_iter: int = 1000
-    inner_tol: float = 1e-10
+    max_iter: Optional[int] = None
+    inner_tol: Optional[float] = None
     grad_tol: float = 0.0
     x0: Optional[np.ndarray] = None
-    warm_start: int = 0
+    warm_start: Optional[int] = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in SOLVER_KNOBS and not (f.name == "epsilon" and value is None):
+            if f.name in SOLVER_KNOBS and not (value is None and f.default is None):
                 check_knob(f.name, value)
+
+    def for_method(self, name: str) -> SolverConfig:
+        """This config with each unset knob at method name's default."""
+        return replace(self, **{key: methods[name] for key, (*_, methods) in SOLVER_KNOBS.items()
+                                if name in methods and getattr(self, key) is None})
 
 
 @dataclass
@@ -138,11 +146,9 @@ def resolve_auto(value, coeff: float, delta: float, y_delta) -> float:
     return 1e-8 * float(np.linalg.norm(y_delta))
 
 
-def _transform_spec(cfg: SolverConfig, delta: float, y_delta, method: str) -> TransformSpec:
-    """The method's transform: cfg.epsilon, or the method's default when
-    unset; "auto" is 1e-4 * delta."""
-    epsilon = SOLVER_KNOBS["epsilon"][3][method] if cfg.epsilon is None else cfg.epsilon
-    return TransformSpec(resolve_auto(epsilon, 1e-4, delta, y_delta))
+def _transform_spec(cfg: SolverConfig, delta: float, y_delta) -> TransformSpec:
+    """The transform at cfg.epsilon; "auto" is 1e-4 * delta."""
+    return TransformSpec(resolve_auto(cfg.epsilon, 1e-4, delta, y_delta))
 
 
 def _shift(n: int, delta: float) -> float:
@@ -273,6 +279,7 @@ def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope
 def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
              x_true=None, callback=None, timer=time.perf_counter):
     """Iterative soft thresholding on the original variable."""
+    cfg = cfg.for_method("ista")
     A, y = p.A, p.y_delta
 
     def step(n, it):
@@ -288,6 +295,7 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
     """Accelerated soft thresholding with Beck and Teboulle's t-sequence
     t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2 and momentum weight (t_{k-1} - 1)/t_k.
     """
+    cfg = cfg.for_method("fista")
     A, y = p.A, p.y_delta
     prev = None
     t_prev = 1.0
@@ -344,8 +352,9 @@ def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
     iterates have seen and is rejected less often than the long step
     s^T s / s^T y.  The search stays monotone, so J_eps falls on every step.
     """
+    cfg = cfg.for_method("gd")
     A, y = p.A, p.y_delta
-    spec = _transform_spec(cfg, delta, y, "gd")
+    spec = _transform_spec(cfg, delta, y)
     prev = None  # the last step's (x, gradient)
 
     def step(n, it):
@@ -376,12 +385,13 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
     diagonal of M is g^2 c + alpha_n, where g is the Jacobian diagonal and c
     the column sums of squares of A (cached on A), so D costs no product.  CG
     stops once the scaled residual ||D (b - M s)|| is at most inner_tol
-    ||D b||; sweeps default to inner_tol = 5e-2, a truncated solve in the
-    spirit of Rieder's REGINN, and the SolverConfig default 1e-10 solves
-    almost exactly.  A failed inner solve stops with reason "stagnation".
+    ||D b||; inner_tol defaults to 5e-2, a truncated solve in the spirit of
+    Rieder's REGINN, and inner_tol = 1e-10 solves almost exactly.  A failed
+    inner solve stops with reason "stagnation".
     """
+    cfg = cfg.for_method("lm")
     A, y = p.A, p.y_delta
-    spec = _transform_spec(cfg, delta, y, "lm")
+    spec = _transform_spec(cfg, delta, y)
 
     def step(n, it):
         g_diag = gradient_diag(spec, it.x)
@@ -413,9 +423,9 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
     of J_eps inside the ball ||s|| <= Delta by Steihaug's truncated CG
     (cg_solve with a radius): it stops at the inexact Newton condition
     ||H s + g|| <= inner_tol ||g|| (Dembo, Eisenstat and Steihaug), or on the
-    boundary when it meets non-positive curvature or leaves the ball.  Sweeps
-    default to the constant forcing term inner_tol = 0.2; the SolverConfig
-    default 1e-10 solves almost exactly.
+    boundary when it meets non-positive curvature or leaves the ball.  inner_tol
+    defaults to the constant forcing term 0.2; inner_tol = 1e-10 solves almost
+    exactly.
 
     rho = (J_eps(x) - J_eps(x + s)) / -q(s) rules the radius (Nocedal and
     Wright, Algorithm 4.1): the step is taken when rho > TR_ACCEPT; Delta
@@ -427,8 +437,9 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
     below the rounding unit of J_eps, stops with reason "stagnation".  J_eps
     falls on every step.
     """
+    cfg = cfg.for_method("newton")
     A, y = p.A, p.y_delta
-    spec = _transform_spec(cfg, delta, y, "newton")
+    spec = _transform_spec(cfg, delta, y)
     if spec.epsilon <= 0.0:
         raise ValueError("run_newton requires epsilon > 0; use run_gradient_descent for J")
     radius = None  # Delta, set on the first step
@@ -481,8 +492,10 @@ def _float_or_auto(text: str):
 # The parser reads a config file's value (_float_or_auto also takes "auto");
 # a value other than "auto" must be an integer (int knobs) or a finite real
 # above the floor, or at it when the floor is allowed (see check_knob).  A
-# key's common default is its SolverConfig field default, except alpha,
-# which is no SolverConfig field: it becomes ProblemData.alpha, and unset it
+# key's default is its SolverConfig field literal only when its row has no
+# per-method defaults; otherwise the field is None and SolverConfig.for_method
+# fills in the method's default (a method with none never reads the knob).
+# alpha is no SolverConfig field: it becomes ProblemData.alpha, and unset it
 # means the sweep's "auto" weight.  The methods on the substituted variable
 # cannot move from exactly zero (the Jacobian diagonal vanishes there), so
 # they warm start from a few FISTA iterations.  LM and Newton solve their
@@ -499,7 +512,7 @@ SOLVER_KNOBS = {
     "max_iter": (int, 0, True, {"ista": 50000, "fista": 20000, "gd": 2000, "lm": 50, "newton": 50}),
     "inner_tol": (float, 0, True, {"lm": 5e-2, "newton": 0.2}),
     "grad_tol": (float, 0, True, {}),
-    "warm_start": (int, 0, True, {"gd": 5, "lm": 5, "newton": 5}),
+    "warm_start": (int, 0, True, {"ista": 0, "fista": 0, "gd": 5, "lm": 5, "newton": 5}),
 }
 
 

@@ -158,6 +158,11 @@ def test_unknown_solver_in_list(tmp_path):
         parse_config(write(tmp_path, bad))
 
 
+def test_empty_solver_list(tmp_path):
+    with pytest.raises(ConfigError, match=r"^line 7: solvers must list at least one item$"):
+        parse_config(write(tmp_path, MINIMAL.replace("ista, newton", ",")))
+
+
 def test_repeated_solver_is_rejected(tmp_path):
     bad = MINIMAL.replace("ista, newton", "fista, fista")
     with pytest.raises(ConfigError, match=r"line 7: solvers lists a solver twice"):

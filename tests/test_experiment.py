@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, parse_config, run_experiment
+from sparsenewton import (ExperimentConfig, ProblemData, SolverConfig, TomoGeometry, parse_config,
+                         run_experiment)
 from sparsenewton.experiment import (
     SCHEMA_LINE,
     SUMMARY_HEADER,
@@ -45,10 +46,11 @@ def test_make_solver_config_defaults(tmp_path):
     cfg, alpha = make_solver_config("fista", {"alpha": 0.5, "max_iter": 7}, 1.0, y)
     assert alpha == 0.5
     assert cfg.max_iter == 7
-    # inexact inner solves by default, exact ones when asked for
+    # inexact inner solves by default, exact ones when asked for; the methods
+    # with no inner solve leave inner_tol unset
     inner_tols = {name: make_solver_config(name, {}, 1.0, y)[0].inner_tol
                   for name in ("ista", "fista", "gd", "lm", "newton")}
-    assert inner_tols == {"ista": 1e-10, "fista": 1e-10, "gd": 1e-10,
+    assert inner_tols == {"ista": None, "fista": None, "gd": None,
                           "lm": 5e-2, "newton": 0.2}
     path = tmp_path / "exact.cfg"
     path.write_text("[geometry]\nm = 12\nn_angles = 6\nn_beams = 14\n"
@@ -66,6 +68,18 @@ def test_knob_table_matches_solver_config():
         cfg, alpha = make_solver_config(name, {}, 1.0, np.ones(4))
         assert type(cfg) is SolverConfig
         assert type(alpha) is float
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_default_solver_config_runs_each_method_as_a_sweep_cell_does(name):
+    instance = build_instances(ExperimentConfig(GEOM, [name], [0.1], 1, 0, "unused", "off"))[(0, 0)]
+    cfg, alpha = make_solver_config(name, {}, instance.delta, instance.y_delta)
+    p = ProblemData(instance.A, instance.y_delta, alpha)
+    (x, trace), (x_cell, trace_cell) = [
+        RUNNERS[name](p, c, instance.delta, x_true=instance.x_true, timer=lambda: 0.0)
+        for c in (SolverConfig(), cfg)]
+    np.testing.assert_array_equal(x, x_cell)
+    assert trace == trace_cell
 
 
 def test_make_solver_config_unknown_name():
@@ -218,6 +232,7 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
     ({"noise_levels": 0.1}, "noise_levels must be a list of numbers, got 0.1"),
     ({"noise_levels": ["0.1"]}, "noise levels must be >= 0 and finite, got '0.1'"),
     ({"solvers": "ista"}, "solvers must be a list of solver names, got 'ista'"),
+    ({"solver_overrides": {"lm": {"inner_tol": None}}}, "inner_tol must be a number, got None"),
 ])
 def test_config_built_in_code_checks_every_field(tmp_path, changes, message):
     fields = {"geometry": GEOM, "solvers": ["ista"], "out": str(tmp_path / "out"), **changes}

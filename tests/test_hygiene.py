@@ -76,6 +76,20 @@ def test_readme_knob_table_lists_exactly_the_solver_knobs():
         assert set(methods) <= named, key
 
 
+def test_each_solver_knob_has_one_default():
+    """A SolverConfig field is None exactly when its SOLVER_KNOBS row holds
+    per-method defaults, so no knob has a second default; for_method then
+    fills in every knob a method reads."""
+    for f in dataclasses.fields(SolverConfig):
+        if f.name in SOLVER_KNOBS:
+            assert (f.default is None) == bool(SOLVER_KNOBS[f.name][3]), f.name
+    read_by = {"max_iter": SOLVER_NAMES, "warm_start": SOLVER_NAMES,
+               "epsilon": ("gd", "lm", "newton"), "inner_tol": ("lm", "newton")}
+    for key, names in read_by.items():
+        for name in names:
+            assert getattr(SolverConfig().for_method(name), key) is not None, (key, name)
+
+
 def test_readme_config_example_parses(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(readme_block("[geometry]"), encoding="utf-8")

@@ -36,7 +36,7 @@ from sparsenewton import (
 )
 from sparsenewton import solvers
 from sparsenewton.experiment import build_instances, make_solver_config
-from sparsenewton.solvers import RUNNERS, _transform_spec
+from sparsenewton.solvers import RUNNERS
 
 ONE_BY_ONE = SparseMatrix.from_dense(np.array([[1.0]]))
 
@@ -264,9 +264,10 @@ def test_unsmoothed_start_at_zero_is_an_error(runner):
     rng = np.random.default_rng(3)
     A, y, delta = conditioned_instance(rng, noise=0.05)
     with pytest.raises(ValueError, match="no step leaves x = 0 at epsilon = 0.*warm_start.*x0"):
-        runner(ProblemData(A, y, 0.01), SolverConfig(), delta)
+        runner(ProblemData(A, y, 0.01), SolverConfig(warm_start=0), delta)
     # a warm start or a smoothed transform moves as before
-    for cfg in (SolverConfig(warm_start=5, max_iter=3), SolverConfig(epsilon=0.01, max_iter=3)):
+    for cfg in (SolverConfig(warm_start=5, max_iter=3),
+                SolverConfig(epsilon=0.01, warm_start=0, max_iter=3)):
         x, _ = runner(ProblemData(A, y, 0.01), cfg, delta)
         assert x.any()
 
@@ -544,6 +545,12 @@ def test_max_iter_reason_when_budget_too_small():
     assert_trace_consistent(trace, cfg.tau, delta)
 
 
+def test_x0_of_the_wrong_length_is_an_error():
+    p = ProblemData(SparseMatrix.from_dense(np.eye(4)), np.ones(4), 0.05)
+    with pytest.raises(ValueError, match="^x0 has length 3 but A has 4 columns$"):
+        run_ista(p, SolverConfig(x0=np.ones(3)), 0.0)
+
+
 def test_explicit_x0_is_used_verbatim():
     rng = np.random.default_rng(10)
     A, y, _ = conditioned_instance(rng)
@@ -742,12 +749,20 @@ def test_wall_time_covers_the_norm_estimate(name, monkeypatch):
 
 
 def test_resolve_epsilon_rules():
-    y = np.ones(4) * 2.0  # norm 4
-    # gd and lm default to 0.0, newton to "auto"
-    assert _transform_spec(SolverConfig(epsilon=0.3), 1.0, y, "gd").epsilon == 0.3
-    assert _transform_spec(SolverConfig(), 1.0, y, "gd").epsilon == 0.0
-    assert _transform_spec(SolverConfig(), 2.0, y, "newton").epsilon == 2e-4
-    assert _transform_spec(SolverConfig(epsilon="auto"), 0.0, y, "lm").epsilon \
+    # gd and lm default to 0.0, newton to "auto": 1e-4 * delta, or 1e-8 ||y|| at delta = 0
+    assert [SolverConfig().for_method(name).epsilon for name in ("gd", "lm", "newton")] \
+        == [0.0, 0.0, "auto"]
+    assert SolverConfig(epsilon=0.3).for_method("gd").epsilon == 0.3
+    p = ProblemData(SparseMatrix.from_dense(np.eye(4)), np.full(4, 2.0), 1.0)  # ||y|| = 4
+
+    def run_epsilon(runner, delta, **knobs):  # the epsilon the run iterated with
+        cfg = SolverConfig(x0=np.ones(4), max_iter=0, **knobs)
+        return runner(p, cfg, delta)[1].spec.epsilon
+
+    assert run_epsilon(run_gradient_descent, 1.0, epsilon=0.3) == 0.3
+    assert run_epsilon(run_gradient_descent, 1.0) == 0.0
+    assert run_epsilon(run_newton, 2.0) == 2e-4
+    assert run_epsilon(run_levenberg_marquardt, 0.0, epsilon="auto") \
         == pytest.approx(4e-8, rel=1e-12)
 
 
@@ -773,7 +788,7 @@ def test_solver_config_validation():
             with pytest.raises(ValueError, match=f"^{knob} must be finite, got {value!r}$"):
                 SolverConfig(**{knob: value})
     for knob, value in (("omega", "fast"), ("omega", 1j), ("epsilon", "x"), ("tau", "1.5"),
-                        ("tau", "auto"), ("inner_tol", None), ("grad_tol", [0.1])):
+                        ("tau", "auto"), ("grad_tol", None), ("grad_tol", [0.1])):
         message = f"^{knob} must be a number, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{knob: value})
