@@ -44,7 +44,7 @@ def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
     """
     _check_solver_name(name)
     knobs = dict(overrides)
-    alpha = resolve_auto(knobs.pop("alpha", None), ALPHA_COEFF, delta, y_delta)
+    alpha = resolve_auto(knobs.pop("alpha", "auto"), ALPHA_COEFF, delta, y_delta)
     return SolverConfig(**knobs).for_method(name), alpha
 
 

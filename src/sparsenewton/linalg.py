@@ -249,7 +249,8 @@ def cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b, tol: float = 1e-10
     ------
     CurvatureError
         Without a radius, if some direction p has p^T(Ap) <= 0, naming the
-        iteration.  With a radius it is never raised.
+        iteration: the caller's operator is not positive definite.  With a
+        radius it is never raised.
     ValueError
         For a radius outside (0, sqrt(float max)].
     """

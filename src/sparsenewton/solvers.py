@@ -10,8 +10,8 @@ and owns what they share:
 * the discrepancy principle ||residual|| <= tau * delta is checked at the
   initial point and after every step (boundary inclusive);
 * stop reasons are "discrepancy", "max_iter" or "stagnation" (the latter also
-  covers gradient-tolerance exits, failed line searches and trust-region
-  steps that no trial radius could take);
+  covers gradient-tolerance exits, failed line searches, LM inner solves that
+  do not converge and trust-region steps that no trial radius could take);
 * traces carry one row per iterate, starting with the initial point, and the
   TransformSpec the run iterated with (None on the original variable);
 * steps run with numpy's overflow and invalid-value warnings off, and an
@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .functionals import ProblemData, back_transform, eval_J, eval_T, grad_J, hessian_operator
-from .linalg import CurvatureError, as_vector, cg_solve
+from .linalg import as_vector, cg_solve
 from .transform import TransformSpec, apply_N_inverse, gradient_diag
 
 STAGNATION_RTOL = 1e-14
@@ -137,9 +137,9 @@ def _resolve_omega(A, cfg: SolverConfig) -> float:
 
 
 def resolve_auto(value, coeff: float, delta: float, y_delta) -> float:
-    """value as a float; "auto" (or None) is coeff * delta, falling back to
+    """value as a float; "auto" is coeff * delta, falling back to
     1e-8 * ||y_delta|| when delta == 0."""
-    if value not in (None, "auto"):
+    if value != "auto":
         return float(value)
     if delta > 0.0:
         return coeff * delta
@@ -185,9 +185,10 @@ class _Point:
 
 def _evaluate(p: ProblemData, spec, x) -> _Point:
     """x with its image, forward image and functional value: T when spec is
-    None, J_eps otherwise."""
+    None, J_eps otherwise.  An all-zero image, as at a cold start, gets the
+    forward image A 0 = 0 without a product."""
     image = back_transform(x, spec)
-    Fx = p.A.matvec(image)
+    Fx = p.A.matvec(image) if image.any() else np.zeros(p.A.n_rows)
     return _Point(x, image, Fx, eval_T(p, x, Fx) if spec is None else eval_J(p, x, spec, Fx))
 
 
@@ -386,8 +387,10 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
     the column sums of squares of A (cached on A), so D costs no product.  CG
     stops once the scaled residual ||D (b - M s)|| is at most inner_tol
     ||D b||; inner_tol defaults to 5e-2, a truncated solve in the spirit of
-    Rieder's REGINN, and inner_tol = 1e-10 solves almost exactly.  A failed
-    inner solve stops with reason "stagnation".
+    Rieder's REGINN, and inner_tol = 1e-10 solves almost exactly.  As
+    alpha_n >= SHIFT_FLOOR > 0, D M D is positive definite by construction,
+    so CG meets no non-positive curvature; an inner solve that does not
+    converge stops with reason "stagnation".
     """
     cfg = cfg.for_method("lm")
     A, y = p.A, p.y_delta
@@ -406,10 +409,7 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
             w = d * u
             return d * (g_diag * A.transpose_matvec(A.matvec(g_diag * w)) + mu * w)
 
-        try:
-            result = cg_solve(scaled, d * rhs, tol=cfg.inner_tol)
-        except CurvatureError:
-            return None
+        result = cg_solve(scaled, d * rhs, tol=cfg.inner_tol)
         return _evaluate(p, spec, it.x + d * result.x) if result.converged else None
 
     return _iterate(p, cfg, delta, step, spec, x_true=x_true, callback=callback, timer=timer)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sparsenewton import (ExperimentConfig, ProblemData, SolverConfig, TomoGeometry, parse_config,
-                         run_experiment)
+from sparsenewton import (ExperimentConfig, ProblemData, SolverConfig, SparseMatrix, TomoGeometry,
+                         parse_config, run_experiment)
 from sparsenewton.experiment import (
     SCHEMA_LINE,
     SUMMARY_HEADER,
@@ -159,6 +159,25 @@ def test_timing_off_is_reproducible(tmp_path):
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
     for name in ("trace_ista_0.1_0.csv", "trace_newton_0.1_0.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_no_sweep_product_multiplies_an_all_zero_vector(tmp_path, monkeypatch):
+    # the cold starts of ISTA and FISTA and the first point of every FISTA
+    # warm start have the image 0, whose forward image A 0 = 0 needs no product
+    zero_inputs = []
+    for attr in ("matvec", "transpose_matvec"):
+        product = getattr(SparseMatrix, attr)
+
+        def checked(A, v, product=product, attr=attr):
+            if not np.any(v):
+                zero_inputs.append(attr)
+            return product(A, v)
+
+        monkeypatch.setattr(SparseMatrix, attr, checked)
+    rows = run_experiment(ExperimentConfig(TomoGeometry(16, 24, 20), list(SOLVER_NAMES),
+                                           [0.05, 0.1], out=str(tmp_path), timing="off"))
+    assert len(rows) == 10 and not any(",error," in row for row in rows)
+    assert zero_inputs == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

@@ -1,10 +1,11 @@
 """Source hygiene: every import in the package is used, the README matches
-the knobs, config format and subcommands it documents, and the benchmark's
-tracer still finds every name it wraps."""
+the knobs, config format and subcommands it documents, the benchmark's
+tracer still finds every name it wraps, and the sweep digest tool works."""
 
 import argparse
 import ast
 import dataclasses
+import json
 import re
 import types
 from pathlib import Path
@@ -120,13 +121,20 @@ def test_readme_names_every_config_key_and_sweep_option():
                 assert re.search(rf"{option}\b", README), option
 
 
+def module_from_text(relative_path):
+    """The module at ROOT / relative_path, compiled from its text, so that no
+    bytecode is written beside it."""
+    path = ROOT / relative_path
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
 def test_every_benchmark_trace_wrapper_fires(tmp_path):
     """perfbench/tracing.py wraps program names where the program looks them
-    up; a refactor that stops calling one of them must fail here too.  The
-    module is compiled from its text, so no bytecode is written beside it."""
-    path = ROOT / "perfbench" / "tracing.py"
-    tracing = types.ModuleType("tracing")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    up; a refactor that stops calling one of them must fail here too."""
+    tracing = module_from_text("perfbench/tracing.py")
     tracer = tracing.Tracer()
     patches, names = tracing.install(tracer)
     try:
@@ -135,3 +143,16 @@ def test_every_benchmark_trace_wrapper_fires(tmp_path):
     finally:
         patches.restore()
     assert [name for name in names if tracer.counts[name] == 0] == []
+
+
+def test_sweep_digest_covers_the_benchmark_and_repeats_itself(tmp_path):
+    """tools/sweep_digest.py sweeps every benchmark workload, and two runs of
+    one config give equal digests, also when the config asks for wall times."""
+    tool = module_from_text("tools/sweep_digest.py")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert set(tool.load_workloads()) == {w["name"] for w in benchmark["workloads"]}
+    config = ExperimentConfig(TomoGeometry(8, 12, 10), list(SOLVER_NAMES), [0.01], timing="wall")
+    first, second = (tool.sweep_digest(dataclasses.replace(config, out=str(tmp_path / run)))
+                     for run in "ab")
+    assert first == second
+    assert len(first) == 2 * len(SOLVER_NAMES) + 1 and "summary.csv" in first

@@ -335,17 +335,29 @@ def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch
         shifts.append(shift(n, delta))
         return shifts[-1]
 
-    def failing_cg(op, b, **kwargs):
+    def unconverged_cg(op, b, **kwargs):
         solves.append(b)
-        raise CurvatureError(0)
+        return CGResult(np.zeros_like(b), False, 1, 0.0, False)
 
     monkeypatch.setattr(solvers, "_shift", recording_shift)
-    monkeypatch.setattr(solvers, "cg_solve", failing_cg)
+    monkeypatch.setattr(solvers, "cg_solve", unconverged_cg)
     delta = 0.5
     p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
     _, trace = run_levenberg_marquardt(p, SolverConfig(x0=np.array([1.0])), delta)
     assert shifts == [delta] and len(solves) == 1
     assert trace.stop_reason == "stagnation" and trace.n_star == 0
+
+
+def test_lm_lets_a_curvature_error_of_its_inner_solve_propagate(monkeypatch):
+    # LM's scaled system is positive definite by construction, so CG meeting
+    # non-positive curvature there is a fault to report, not a stop reason
+    def failing_cg(op, b, **kwargs):
+        raise CurvatureError(0)
+
+    monkeypatch.setattr(solvers, "cg_solve", failing_cg)
+    p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
+    with pytest.raises(CurvatureError, match="iteration 0"):
+        run_levenberg_marquardt(p, SolverConfig(x0=np.array([1.0])), 0.5)
 
 
 def test_lm_preconditions_its_cg_with_the_diagonal_of_the_normal_operator(monkeypatch):
@@ -601,8 +613,9 @@ def test_cold_start_shrinkage_makes_two_products_per_step(name, monkeypatch):
     log = ProductLog(monkeypatch)
     _, trace = RUNNERS[name](p, SolverConfig(omega=0.2), delta)
     assert trace.n_star >= 5
-    # one A product per row, one A^T product per step
-    assert log.products == 2 * trace.n_star + 1
+    # one A product per row but the zero start, whose image A 0 needs none,
+    # and one A^T product per step
+    assert log.products == 2 * trace.n_star
 
 
 @pytest.mark.parametrize("name", ["gd", "lm", "newton"])
