@@ -9,7 +9,7 @@ Minimizers correspond through x = N(x~) at equal alpha, since
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,11 +26,18 @@ from .transform import (
 
 @dataclass
 class ProblemData:
-    """Operator, noisy data and regularization weight."""
+    """Operator, noisy data and regularization weight.
+
+    warm_starts holds the FISTA warm starts computed on A and y_delta, keyed
+    by every further input they read (see solvers._initial_point).  A sweep
+    hands the cells of one instance the same dict, so only the first cell
+    that asks for a warm start computes it; a new ProblemData starts empty.
+    """
 
     A: SparseMatrix
     y_delta: np.ndarray
     alpha: float
+    warm_starts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.y_delta = as_vector(self.y_delta)

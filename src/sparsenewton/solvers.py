@@ -46,8 +46,9 @@ ARMIJO_SHRINK = 0.5  # each rejected trial step is multiplied by ARMIJO_SHRINK
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the directional derivative
 BB_STEP_MIN = 1e-12  # GD's Barzilai-Borwein start is clipped to [BB_STEP_MIN, BB_STEP_MAX]
 BB_STEP_MAX = 1e12
-SHIFT_DECAY = 0.6  # LM's shift alpha_n = max(delta * SHIFT_DECAY^n, SHIFT_FLOOR)
-SHIFT_FLOOR = 1e-14
+SHIFT_DECAY = 0.6  # LM's shift alpha_n = max(delta * SHIFT_DECAY^n, SHIFT_FLOOR,
+SHIFT_FLOOR = 1e-14  # SHIFT_RELATIVE_FLOOR * max(g^2 c)), g^2 c = diag(G A^T A G)
+SHIFT_RELATIVE_FLOOR = 1e-4
 TR_RADIUS_START = 0.1  # Newton's first radius is TR_RADIUS_START * ||x0||
 TR_ACCEPT = 1e-4  # a trial step is taken when rho = actual / predicted decrease > TR_ACCEPT
 TR_SHRINK = 0.25  # rho < TR_SHRINK: the radius becomes TR_SHRINK * ||s||
@@ -152,22 +153,34 @@ def _transform_spec(cfg: SolverConfig, delta: float, y_delta) -> TransformSpec:
 
 
 def _shift(n: int, delta: float) -> float:
-    """LM's shift at step n."""
+    """LM's scheduled shift at step n, before the floor relative to the
+    operator."""
     return max(delta * SHIFT_DECAY ** n, SHIFT_FLOOR)
 
 
 def _initial_point(p: ProblemData, cfg: SolverConfig, delta: float,
                    transformed: bool) -> np.ndarray:
-    """x0 from the config, else warm_start FISTA iterations, else zeros."""
+    """x0 from the config, else warm_start FISTA iterations, else zeros.
+
+    A warm start is kept, read-only, in p.warm_starts under every input of
+    the FISTA run besides A and y_delta: alpha, delta, tau, omega and the
+    iteration count.  A later run on the same dict with the same inputs
+    reuses it, and the point returned is always a new array.
+    """
     if cfg.x0 is not None:
         x0 = as_vector(cfg.x0).copy()
         if x0.size != p.A.n_cols:
             raise ValueError(f"x0 has length {x0.size} but A has {p.A.n_cols} columns")
         return x0
     if cfg.warm_start > 0:
-        warm_cfg = replace(cfg, warm_start=0, max_iter=cfg.warm_start, x0=None)
-        xw, _ = run_fista(p, warm_cfg, delta)
-        return apply_N_inverse(xw) if transformed else xw
+        key = (p.alpha, delta, cfg.tau, cfg.omega, cfg.warm_start)
+        xw = p.warm_starts.get(key)
+        if xw is None:
+            warm_cfg = replace(cfg, warm_start=0, max_iter=cfg.warm_start, x0=None)
+            xw, _ = run_fista(p, warm_cfg, delta)
+            xw.flags.writeable = False
+            p.warm_starts[key] = xw
+        return apply_N_inverse(xw) if transformed else xw.copy()
     return np.zeros(p.A.n_cols)
 
 
@@ -377,14 +390,18 @@ def run_gradient_descent(p: ProblemData, cfg: SolverConfig, delta: float, *,
 def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
                             x_true=None, callback=None, timer=time.perf_counter):
     """Levenberg-Marquardt on F(x~) = y with the fixed shift schedule
-    alpha_n = max(delta * 0.6^n, 1e-14).
+    alpha_n = max(delta * 0.6^n, 1e-14, 1e-4 * max(g^2 c)).
 
     Each step solves M s = b, with M = G A^T A G + alpha_n I and
     b = G A^T (y - F(x~)), by CG on the system scaled on both sides by
     D = diag(M)^(-1/2) (split Jacobi preconditioning; Saad, Iterative Methods
     for Sparse Linear Systems, section 9.2): D M D u = D b, and s = D u.  The
     diagonal of M is g^2 c + alpha_n, where g is the Jacobian diagonal and c
-    the column sums of squares of A (cached on A), so D costs no product.  CG
+    the column sums of squares of A (cached on A), so D costs no product.
+    The schedule's last term keeps the shift at a fixed fraction of the
+    operator's scale once delta * 0.6^n falls below it (at small or zero
+    delta), where an absolute shift no longer damps the weakly coupled
+    components and their steps of about g (A^T r) / alpha_n run away.  CG
     stops once the scaled residual ||D (b - M s)|| is at most inner_tol
     ||D b||; inner_tol defaults to 5e-2, a truncated solve in the spirit of
     Rieder's REGINN, and inner_tol = 1e-10 solves almost exactly.  As
@@ -400,10 +417,11 @@ def run_levenberg_marquardt(p: ProblemData, cfg: SolverConfig, delta: float, *,
         g_diag = gradient_diag(spec, it.x)
         rhs = g_diag * A.transpose_matvec(y - it.Fx)
 
-        mu = _shift(n, delta)
-        # diag(M)^(-1/2), finite as mu >= SHIFT_FLOOR; asked for in the step, so
-        # that wall_s covers the first computation of the column sums
-        d = 1.0 / np.sqrt(g_diag**2 * A.column_sums_of_squares() + mu)
+        # the diagonal of G A^T A G; asked for in the step, so that wall_s
+        # covers the first computation of the column sums
+        coupling = g_diag**2 * A.column_sums_of_squares()
+        mu = max(_shift(n, delta), SHIFT_RELATIVE_FLOOR * float(coupling.max()))
+        d = 1.0 / np.sqrt(coupling + mu)  # diag(M)^(-1/2), finite as mu >= SHIFT_FLOOR
 
         def scaled(u):  # D M D u
             w = d * u

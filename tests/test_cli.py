@@ -2,6 +2,7 @@
 
 import pytest
 
+from sparsenewton import solvers
 from sparsenewton.cli import main
 from sparsenewton.experiment import SUMMARY_HEADER
 from sparsenewton.solvers import RUNNERS
@@ -80,6 +81,30 @@ def test_sweep_timing_off_is_byte_reproducible(tmp_path, config_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "a" / "summary.csv").read_bytes() \
         == (tmp_path / "b" / "summary.csv").read_bytes()
+
+
+def test_a_newton_only_sweep_computes_its_own_warm_start(tmp_path, monkeypatch, capsys):
+    # in the full sweep gd's cell computes each warm start and newton's reuses it
+    path = tmp_path / "second_order.cfg"
+    path.write_text(CONFIG.replace("ista, lm", "gd, lm, newton"))
+    calls = []
+    fista = solvers.run_fista
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].alpha)
+        return fista(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "run_fista", counted)
+    for run, flags in (("full", []), ("newton", ["--solver", "newton"])):
+        calls.clear()
+        code = main(["sweep", "--config", str(path), "--timing", "off",
+                     "--out", str(tmp_path / run), *flags])
+        assert code == 0
+        assert len(calls) == 2  # one per noise level
+    capsys.readouterr()
+    for noise in ("0.1", "0.3"):
+        name = f"trace_newton_{noise}_0.csv"
+        assert (tmp_path / "newton" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_sweep_with_failing_solver_exits_one(tmp_path, capsys, monkeypatch):

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from sparsenewton import (ExperimentConfig, ProblemData, SolverConfig, SparseMatrix, TomoGeometry,
-                         parse_config, run_experiment)
+                         build_parallel_tomo, experiment, parse_config, run_experiment, solvers)
 from sparsenewton.experiment import (
     SCHEMA_LINE,
     SUMMARY_HEADER,
@@ -111,7 +112,7 @@ def test_build_instances_shares_the_matrix():
 @pytest.mark.parametrize("name", ["gd", "lm", "newton"])
 def test_cell_image_is_back_transformed_with_the_run_epsilon(name):
     instance = build_instances(ExperimentConfig(GEOM, [name], [0.1], 1, 0, "unused", "off"))[(0, 0)]
-    cell = _run_cell(name, {"epsilon": 0.05}, instance, 0.1, 0, "off")
+    cell = _run_cell(name, {"epsilon": 0.05}, instance, 0.1, 0, "off", {})
     assert cell.trace.spec.epsilon == 0.05
     err = np.linalg.norm(cell.x_image - instance.x_true) / np.linalg.norm(instance.x_true)
     assert err == cell.trace.rel_errors[-1]
@@ -258,3 +259,74 @@ def test_config_built_in_code_checks_every_field(tmp_path, changes, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**fields)
     assert not (tmp_path / "out").exists()
+
+
+SHARED = ExperimentConfig(TomoGeometry(16, 24, 20), ["gd", "lm", "newton"], [0.05, 0.1], 1, 0,
+                          "unused", "off")
+
+
+def count_warm_starts(monkeypatch):
+    """Patches solvers.run_fista, which only _initial_point calls; returns
+    the list that gets one entry per call."""
+    calls = []
+    fista = solvers.run_fista
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fista(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "run_fista", counted)
+    return calls
+
+
+def test_a_sweep_computes_each_instance_warm_start_once(tmp_path, monkeypatch):
+    calls = count_warm_starts(monkeypatch)
+    cells = []
+    run = experiment.run_solver
+
+    def recorded(name, p, cfg, delta, **kwargs):
+        x, trace = run(name, p, cfg, delta, **kwargs)
+        cells.append((name, p, cfg, delta, x))
+        return x, trace
+
+    monkeypatch.setattr(experiment, "run_solver", recorded)
+    rows = run_experiment(dataclasses.replace(SHARED, out=str(tmp_path)))
+    assert len(rows) == 6 and not any(",error," in row for row in rows)
+    assert len(calls) == 2  # gd's cell on each instance; lm and newton reuse it
+    # each cell ends where a single run, which computes its own warm start, ends
+    for name, p, cfg, delta, x in cells:
+        single, _ = RUNNERS[name](ProblemData(p.A, p.y_delta, p.alpha), cfg, delta)
+        np.testing.assert_array_equal(x, single)
+    assert len(calls) == 2 + len(cells)
+
+
+@pytest.mark.parametrize("knob,shared", [("omega", False), ("tau", False),
+                                         ("inner_tol", True)])  # FISTA does not read inner_tol
+def test_a_warm_start_is_shared_only_at_equal_inputs(tmp_path, monkeypatch, knob, shared):
+    value = {"tau": 1.2, "inner_tol": 1e-3}.get(knob)
+    if knob == "omega":  # half the "auto" step, so FISTA still converges
+        value = 0.45 / build_parallel_tomo(SHARED.geometry).norm2_estimate() ** 2
+    calls = count_warm_starts(monkeypatch)
+    cfg = dataclasses.replace(SHARED, out=str(tmp_path), solver_overrides={"lm": {knob: value}})
+    rows = run_experiment(cfg)
+    assert not any(",error," in row for row in rows)
+    assert len(calls) == (1 if shared else 2) * len(SHARED.noise_levels)
+
+
+def test_only_the_cell_that_computes_a_warm_start_pays_for_it(tmp_path, monkeypatch):
+    # a fake clock that moves only inside the warm start's FISTA run
+    clock = [0.0]
+    fista = solvers.run_fista
+
+    def slow_warm_start(*args, **kwargs):
+        clock[0] += 5.0
+        return fista(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "run_fista", slow_warm_start)
+    monkeypatch.setattr(experiment, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    cfg = dataclasses.replace(SHARED, noise_levels=[0.1], out=str(tmp_path), timing="wall")
+    rows = run_experiment(cfg)
+    assert [row.split(",")[4] for row in rows] == ["5", "0", "0"]
+    for name, row_zero_wall in (("gd", "5"), ("lm", "0"), ("newton", "0")):
+        lines = (tmp_path / f"trace_{name}_0.1_0.csv").read_text().splitlines()
+        assert lines[2].split(",")[-1] == row_zero_wall

@@ -273,13 +273,27 @@ def test_unsmoothed_start_at_zero_is_an_error(runner):
 
 
 def test_levenberg_marquardt_scalar_step():
-    # from x=1 toward the solution of sgn(x)x^2 = 4: with a vanishing shift
-    # one step lands on 1 + 6/4 = 2.5
+    # from x=1 toward the solution of sgn(x)x^2 = 4, where g = 2 and
+    # G A^T A G = 4: at delta = 0 the shift is the relative floor 1e-4 * 4, so
+    # one step lands on 1 + 6 / (4 + 4e-4), next to the Gauss-Newton 2.5
     p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
-    cfg = SolverConfig(max_iter=1, x0=np.array([1.0]))  # delta = 0: shift 1e-14
+    cfg = SolverConfig(max_iter=1, x0=np.array([1.0]))
     x, trace = run_levenberg_marquardt(p, cfg, 0.0)
-    assert x[0] == pytest.approx(2.5, abs=1e-9)
+    assert x[0] == pytest.approx(1.0 + 6.0 / (4.0 + 4.0 * solvers.SHIFT_RELATIVE_FLOOR), abs=1e-9)
     assert trace.stop_reason == "max_iter"
+
+
+def test_levenberg_marquardt_stays_finite_without_noise():
+    # at delta = 0 the schedule shift falls to 1e-14, far below G A^T A G; the
+    # floor relative to its largest diagonal entry keeps LM from running away
+    A = build_parallel_tomo(TomoGeometry(16, 24, 20))
+    x_true = shepp_logan(16)
+    y = A.matvec(x_true)
+    cfg, alpha = make_solver_config("lm", {}, 0.0, y)
+    x, trace = run_levenberg_marquardt(ProblemData(A, y, alpha), cfg, 0.0, x_true=x_true)
+    assert np.all(np.isfinite(x))
+    assert trace.stop_reason == "max_iter"
+    assert trace.rel_errors[-1] < 1e-3
 
 
 def test_levenberg_marquardt_exact_start_stops_at_zero_iterations():
@@ -805,3 +819,25 @@ def test_solver_config_validation():
         message = f"^{knob} must be a number, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{knob: value})
+
+
+def test_a_stored_warm_start_is_never_handed_out():
+    # at max_iter = 0 the run returns its initial point, the warm start itself
+    rng = np.random.default_rng(15)
+    A, y, delta = conditioned_instance(rng, noise=0.05)
+    p = ProblemData(A, y, 0.02)
+    x, trace = run_fista(p, SolverConfig(warm_start=3, max_iter=0), delta)
+    (stored,) = p.warm_starts.values()
+    assert trace.n_star == 0 and not stored.flags.writeable
+    np.testing.assert_array_equal(x, stored)
+    assert not np.shares_memory(x, stored)
+    x[:] = 0.0  # the caller's array is its own
+    assert stored.any()
+
+
+def test_warm_starts_stay_out_of_problem_data_repr_and_equality():
+    y = np.ones(1)
+    a, b = ProblemData(ONE_BY_ONE, y, 1.0), ProblemData(ONE_BY_ONE, y, 1.0)
+    a.warm_starts["key"] = np.ones(1)
+    assert "warm_starts" not in repr(a)
+    assert a == b
