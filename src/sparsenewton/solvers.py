@@ -518,10 +518,11 @@ def _float_or_auto(text: str):
 # cannot move from exactly zero (the Jacobian diagonal vanishes there), so
 # they warm start from a few FISTA iterations.  LM and Newton solve their
 # inner systems loosely: over the five cells of the lownoise-m64 benchmark
-# (m=64, 1% noise, seed 0) the near-exact 1e-10 solves cost Newton 3.2 times
-# (1,140 against 360) and LM 13.9 times (3,844 against 276) the operator
-# products, for a larger error in Newton's case (mean 0.0499 against 0.0419)
-# and an error 1.2% smaller in LM's (0.0386 against 0.0391).
+# (m=64, 1% noise, seed 0, the FISTA warm start shared as a sweep shares it)
+# the near-exact 1e-10 solves cost Newton 3.6 times (1,083 against 305) and
+# LM 17.2 times (3,803 against 221) the operator products, for a larger error
+# in Newton's case (mean 0.0499 against 0.0419) and an error 1.3% smaller in
+# LM's (0.0386 against 0.0391).
 SOLVER_KNOBS = {
     "alpha": (_float_or_auto, 0, False, {}),
     "epsilon": (_float_or_auto, 0, True, {"gd": 0.0, "lm": 0.0, "newton": "auto"}),

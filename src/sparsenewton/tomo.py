@@ -12,7 +12,11 @@ Geometry conventions (all lengths in pixel units):
   pixel, from the sorted grid-line crossings of all rays of an angle at once
   (Siddon, Med. Phys. 1985); cells are half-open (bottom/left edges
   inclusive), so a ray running exactly along an interior grid line is charged
-  to the cell above/right of it.
+  to the cell above/right of it;
+* with an even number of angles, the rows of [90, 180) degrees are those of
+  [0, 90) turned by 90 degrees, which takes pixel (r, c) to (m - 1 - c, r)
+  and a vertical ray on a grid line, charged to the cell right of it, to a
+  horizontal one charged to the cell above; so only [0, 90) is traced.
 """
 
 from __future__ import annotations
@@ -172,6 +176,11 @@ def ray_cell_chords(m: int, points, direction):
 def build_parallel_tomo(geom: TomoGeometry) -> SparseMatrix:
     """Assemble the projection matrix; ray (i, k) maps to row i * n_beams + k.
 
+    With an even n_angles, the rows of angle i + n_angles / 2 (in [90, 180)
+    degrees) are the rows of angle i turned by 90 degrees: the same entries
+    in the same order, each pixel (r, c) moved to (m - 1 - c, r).  They agree
+    with a direct trace up to round-off in the chord lengths.
+
     A geometry whose nonzero bound n_angles * n_beams * (2m + 1) exceeds
     MAX_NNZ_BOUND is refused before anything is allocated.
     """
@@ -179,7 +188,7 @@ def build_parallel_tomo(geom: TomoGeometry) -> SparseMatrix:
     if bound > MAX_NNZ_BOUND:
         raise ValueError(f"m = {geom.m} with {geom.n_angles} angles and {geom.n_beams} beams "
                          f"may need {bound} nonzeros, over the limit of {MAX_NNZ_BOUND}")
-    n_beams = int(geom.n_beams)
+    m, n_beams = int(geom.m), int(geom.n_beams)
     # scipy keeps int32 indices, uncopied, while the shape and nnz fit them
     index_type = np.int32 if max(geom.n_cols, bound) <= np.iinfo(np.int32).max else np.int64
     # Filled at a running offset, angle by angle, then shrunk in place to nnz:
@@ -189,15 +198,26 @@ def build_parallel_tomo(geom: TomoGeometry) -> SparseMatrix:
     vals = np.empty(bound)
     nnz = 0
     offsets = geom.beam_offsets
-    for i, theta in enumerate(np.deg2rad(geom.angles_deg)):
+    # angle i + half, if there is one, is angle i turned by 90 degrees
+    half = int(geom.n_angles) // 2 if geom.n_angles % 2 == 0 else 0
+    traced = int(geom.n_angles) - half
+    for i, theta in enumerate(np.deg2rad(geom.angles_deg[:traced])):
         w = (np.cos(theta), np.sin(theta))
         points = np.column_stack((offsets * w[0], offsets * w[1]))
-        rays, angle_cols, angle_vals = ray_cell_chords(geom.m, points, (-w[1], w[0]))
+        rays, angle_cols, angle_vals = ray_cell_chords(m, points, (-w[1], w[0]))
         row_offsets[1 + i * n_beams:1 + (i + 1) * n_beams] = np.bincount(rays, minlength=n_beams)
         cols[nnz:nnz + angle_cols.size] = angle_cols
         vals[nnz:nnz + angle_vals.size] = angle_vals
         nnz += angle_vals.size
+    row_offsets[1 + traced * n_beams:] = row_offsets[1:1 + half * n_beams]
     np.cumsum(row_offsets, out=row_offsets)
+    # one angle at a time, so the temporaries stay one angle's size
+    for i in range(half):
+        lo, hi = row_offsets[i * n_beams], row_offsets[(i + 1) * n_beams]
+        r, c = np.divmod(cols[lo:hi], m)
+        cols[nnz + lo:nnz + hi] = (m - 1 - c) * m + r
+        vals[nnz + lo:nnz + hi] = vals[lo:hi]
+    nnz = int(row_offsets[-1])
     # refcheck=False: no view of cols or vals outlives its slice assignment,
     # and an active profiler or tracer holds references that fail the check
     cols.resize(nnz, refcheck=False)

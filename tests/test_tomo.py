@@ -107,6 +107,40 @@ def test_projection_rows_match_single_rays():
             np.testing.assert_array_equal(A.values[lo:hi], vals)
 
 
+# spacings 1, 0.5 and 0.25 put beams on grid lines and image edges
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 9), half=st.integers(1, 6), n_beams=st.integers(1, 9),
+       spacing=st.one_of(st.sampled_from([None, 1.0, 0.5, 0.25]), st.floats(0.05, 3.0)))
+def test_turned_angles_match_a_direct_trace(m, half, n_beams, spacing):
+    # angle i + half is angle i turned by 90 degrees, and its rows are filled
+    # from angle i's, not traced
+    g = TomoGeometry(m, 2 * half, n_beams, spacing)
+    A = build_parallel_tomo(g)
+    for i in range(half, 2 * half):
+        theta = np.deg2rad(g.angles_deg[i])
+        w = (np.cos(theta), np.sin(theta))
+        points = np.column_stack((g.beam_offsets * w[0], g.beam_offsets * w[1]))
+        rays, cols, vals = ray_cell_chords(m, points, (-w[1], w[0]))
+        rows = A.row_offsets[i * n_beams:(i + 1) * n_beams + 1]
+        np.testing.assert_array_equal(np.diff(rows), np.bincount(rays, minlength=n_beams))
+        np.testing.assert_array_equal(A.col_indices[rows[0]:rows[-1]], cols)
+        np.testing.assert_allclose(A.values[rows[0]:rows[-1]], vals, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_angles,traced", [(8, 4), (2, 1), (7, 7), (1, 1)])
+def test_only_angles_below_90_degrees_are_traced(monkeypatch, n_angles, traced):
+    # with an odd number of angles none is another turned by 90 degrees
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ray_cell_chords(*args)
+
+    monkeypatch.setattr(tomo, "ray_cell_chords", counted)
+    build_parallel_tomo(TomoGeometry(8, n_angles, 5))
+    assert len(calls) == traced
+
+
 def reference_chords(m, point, direction):
     """One ray walked on its own, as the projector was first built; the
     bundled ray_cell_chords must give each ray exactly these arrays."""
