@@ -25,14 +25,13 @@ spacing, > 0), noise_levels = 0.1, repetitions = 1, seed = 0, out = results
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
+from .linalg import check_number
 from .solvers import SOLVER_KNOBS, SOLVER_NAMES, check_knob
 from .tomo import TomoGeometry
 
@@ -76,18 +75,14 @@ def _check_field(key, value):
             raise ValueError(f"noise_levels must be a list of numbers, got {value!r}")
         stems = {}
         for level in value:
-            if not (isinstance(level, numbers.Real) and 0.0 <= level < math.inf):
-                raise ValueError(f"noise levels must be >= 0 and finite, got {level!r}")
+            check_number("noise levels", level, 0)
             stem = f"{level:g}"  # how output file names carry the level
             if stem in stems:
                 raise ValueError(f"noise levels {stems[stem]!r} and {level!r} would write "
                                  f"the same files (both print as {stem})")
             stems[stem] = level
     if key in ("repetitions", "seed"):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{key} must be >= 0, got {value}")
+        check_number(key, value, 0, integer=True)
     if key == "out" and (not isinstance(value, (str, os.PathLike)) or value == ""):
         raise ValueError(f"out must name a directory, got {value!r}")
     if key == "timing" and value not in TIMING_MODES:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import SparseMatrix, as_vector
+from .linalg import SparseMatrix, as_vector, check_number
 from .transform import (
     TransformSpec,
     apply_N,
@@ -45,8 +45,7 @@ class ProblemData:
             raise ValueError(
                 f"y_delta has length {self.y_delta.size} but A has {self.A.n_rows} rows"
             )
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        check_number("alpha", self.alpha, 0, False)
 
 
 def back_transform(x, spec: Optional[TransformSpec]):

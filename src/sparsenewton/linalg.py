@@ -15,6 +15,8 @@ whose model value is the lowest it reached.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,6 +47,22 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def check_number(name: str, value, floor, floor_allowed: bool = True, *,
+                 integer: bool = False) -> None:
+    """Raise ValueError naming name unless value is a number above floor, or
+    at it when floor_allowed: an integer (numbers.Integral) when integer,
+    otherwise a finite real.  A bool is never a number."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if not integer and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if floor_allowed and value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value!r}")
+    if not floor_allowed and value <= floor:
+        raise ValueError(f"{name} must exceed {floor}, got {value!r}")
+
+
 def _index_array(name: str, arr) -> np.ndarray:
     """``arr`` as an integer array at the width it arrives in (scipy narrows
     it only when its values fit); an empty list, which numpy makes float64,
@@ -67,7 +85,7 @@ class SparseMatrix:
     Parameters
     ----------
     n_rows, n_cols : int
-        Matrix shape; both must be positive.
+        Matrix shape; both must be integers >= 1.
     row_offsets : array of int, length n_rows + 1
         Nondecreasing, starts at 0, ends at nnz.
     col_indices : array of int, length nnz
@@ -79,10 +97,9 @@ class SparseMatrix:
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
-        n_rows = int(n_rows)
-        n_cols = int(n_cols)
-        if n_rows < 1 or n_cols < 1:
-            raise ValueError(f"matrix shape must be positive, got {n_rows}x{n_cols}")
+        check_number("n_rows", n_rows, 1, integer=True)
+        check_number("n_cols", n_cols, 1, integer=True)
+        n_rows, n_cols = int(n_rows), int(n_cols)
         row_offsets = _index_array("row_offsets", row_offsets)
         col_indices = _index_array("col_indices", col_indices)
         values = np.asarray(values, dtype=np.float64)

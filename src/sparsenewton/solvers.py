@@ -28,7 +28,6 @@ ISTA with alpha = a / 2.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -36,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .functionals import ProblemData, back_transform, eval_J, eval_T, grad_J, hessian_operator
-from .linalg import as_vector, cg_solve
+from .linalg import as_vector, cg_solve, check_number
 from .transform import TransformSpec, apply_N_inverse, gradient_diag
 
 STAGNATION_RTOL = 1e-14
@@ -220,6 +219,7 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     GD's search rejects a trial that has one, and a step whose functional
     value is not finite ends the run with DivergenceError.
     """
+    check_number("delta", delta, 0)
     y = p.y_delta
     t0 = timer()
     point = _evaluate(p, spec, _initial_point(p, cfg, delta, transformed=spec is not None))
@@ -538,16 +538,5 @@ SOLVER_KNOBS = {
 def check_knob(key: str, value) -> None:
     """Raise ValueError unless SOLVER_KNOBS[key]'s row takes value."""
     parse, floor, floor_allowed, _ = SOLVER_KNOBS[key]
-    if parse is _float_or_auto and value == "auto":
-        return
-    if parse is int:
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    elif not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    elif not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    if floor_allowed and value < floor:
-        raise ValueError(f"{key} must be >= {floor}, got {value!r}")
-    if not floor_allowed and value <= floor:
-        raise ValueError(f"{key} must exceed {floor}, got {value!r}")
+    if not (parse is _float_or_auto and value == "auto"):
+        check_number(key, value, floor, floor_allowed, integer=parse is int)

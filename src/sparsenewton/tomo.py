@@ -21,19 +21,21 @@ Geometry conventions (all lengths in pixel units):
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import SparseMatrix, as_vector
+from .linalg import SparseMatrix, as_vector, check_number
 
 _MIN_CHORD = 1e-12
 # A ray crosses at most 2m + 1 cells, so n_angles * n_beams * (2m + 1) bounds
 # nnz.  The build peaks near 13 bytes per unit of that bound (12.9 at m=64 and
 # 12.6 at m=128, where nnz is 0.59 of it, under tracemalloc), so this limit
-# caps the build near 650 MB.
+# caps the build near 650 MB.  shepp_logan refuses more than MAX_NNZ_BOUND
+# pixels: with one angle and one beam the bound above passes at m = 50,000,
+# where each of the phantom's arrays would take 18.6 GiB.  The phantom peaks
+# near 72 bytes a pixel under tracemalloc, so 3.6 GB at this limit.
 MAX_NNZ_BOUND = 50_000_000
 
 
@@ -52,12 +54,9 @@ class TomoGeometry:
 
     def __post_init__(self):
         for name in ("m", "n_angles", "n_beams"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.spacing is not None and not (isinstance(self.spacing, numbers.Real)
-                                             and 0.0 < self.spacing < np.inf):
-            raise ValueError(f"spacing must be finite and > 0, got {self.spacing!r}")
+            check_number(name, getattr(self, name), 1, integer=True)
+        if self.spacing is not None:
+            check_number("spacing", self.spacing, 0, False)
 
     @property
     def n_rows(self) -> int:
@@ -106,10 +105,12 @@ def shepp_logan(m: int) -> np.ndarray:
     """Rasterize the phantom at the m x m pixel centers; returns a flat image.
 
     Densities are summed over the ellipses containing each center, with the
-    table's unit square mapped onto the image extent.
+    table's unit square mapped onto the image extent.  An m with more than
+    MAX_NNZ_BOUND pixels is refused before anything is allocated.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_number("m", m, 1, integer=True)
+    if int(m) ** 2 > MAX_NNZ_BOUND:  # a Python int: no numpy wrap
+        raise ValueError(f"m = {m} gives {int(m) ** 2} pixels, over the limit of {MAX_NNZ_BOUND}")
     centers = (np.arange(m) + 0.5) * (2.0 / m) - 1.0
     xg, yg = np.meshgrid(centers, -centers)  # row 0 on top
     img = np.zeros((m, m))
@@ -229,8 +230,7 @@ def add_noise(y, rel_level: float, seed: int = 0):
     """Relative Gaussian-direction noise: returns (y_delta, delta) with
     y_delta = y + delta r, r a unit vector drawn from seed, and
     delta = rel_level * ||y||_2 exactly."""
-    if not np.isfinite(rel_level) or rel_level < 0.0:
-        raise ValueError("rel_level must be finite and >= 0")
+    check_number("rel_level", rel_level, 0)
     y = as_vector(y)
     if rel_level == 0.0:
         return y.copy(), 0.0

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_number
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -31,8 +33,7 @@ class TransformSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_number("epsilon", self.epsilon, 0)
 
 
 def _require_smooth(spec: TransformSpec, what: str):

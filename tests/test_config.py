@@ -110,13 +110,13 @@ def test_config_error_is_value_error():
     ("[solver.gd]\narmijo_t0 = 1\n", r"line 9: unknown key 'armijo_t0' in section \[solver.gd\]"),
     ("timing = cpu\n", r"line 8: timing must be one of wall, off"),
     ("seed = -1\n", r"line 8: seed must be >= 0, got -1"),
-    ("[geometry]\nspacing = nan\n", r"line 9: invalid geometry: spacing must be finite and > 0"),
-    ("[geometry]\nspacing = inf\n", r"line 9: invalid geometry: spacing must be finite and > 0"),
-    ("[geometry]\nspacing = 0\n", r"line 9: invalid geometry: spacing must be finite and > 0"),
+    ("[geometry]\nspacing = nan\n", r"line 9: invalid geometry: spacing must be finite, got nan"),
+    ("[geometry]\nspacing = inf\n", r"line 9: invalid geometry: spacing must be finite, got inf"),
+    ("[geometry]\nspacing = 0\n", r"line 9: invalid geometry: spacing must exceed 0, got 0.0"),
     ("noise_levels = 0.1, -0.2\n", r"line 8: noise levels must be >= 0"),
     ("repetitions = -1\n", r"line 8: repetitions must be >= 0"),
     ("noise_levels = 0.1, abc\n", r"noise_levels must be a number, got 'abc'"),
-    ("noise_levels = nan\n", r"line 8: noise levels must be >= 0 and finite, got nan"),
+    ("noise_levels = nan\n", r"line 8: noise levels must be finite, got nan"),
     ("noise_levels = 0.1, 0.1000000001\n",
      r"line 8: noise levels 0.1 and 0.1000000001 would write the same files"),
     ("[solver.ista]\nripple = 1\n", r"line 9: unknown key 'ripple' in section \[solver.ista\]"),
@@ -170,7 +170,7 @@ def test_repeated_solver_is_rejected(tmp_path):
 
 
 def test_geometry_errors_cite_their_line(tmp_path):
-    message = r"line 4: invalid geometry: n_beams must be an integer >= 1, got 0"
+    message = r"line 4: invalid geometry: n_beams must be >= 1, got 0"
     with pytest.raises(ConfigError, match=message):
         parse_config(write(tmp_path, MINIMAL.replace("n_beams = 45", "n_beams = 0")))
 

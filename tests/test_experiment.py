@@ -250,9 +250,13 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
     ({"solver_overrides": {"ista": {"alpha": "x"}}}, "alpha must be a number, got 'x'"),
     ({"solver_overrides": {"ista": {"tau": "1.5"}}}, "tau must be a number, got '1.5'"),
     ({"noise_levels": 0.1}, "noise_levels must be a list of numbers, got 0.1"),
-    ({"noise_levels": ["0.1"]}, "noise levels must be >= 0 and finite, got '0.1'"),
+    ({"noise_levels": ["0.1"]}, "noise levels must be a number, got '0.1'"),
     ({"solvers": "ista"}, "solvers must be a list of solver names, got 'ista'"),
     ({"solver_overrides": {"lm": {"inner_tol": None}}}, "inner_tol must be a number, got None"),
+    ({"noise_levels": [True]}, "noise levels must be a number, got True"),
+    ({"repetitions": True}, "repetitions must be an integer, got True"),
+    ({"seed": False}, "seed must be an integer, got False"),
+    ({"solver_overrides": {"gd": {"max_iter": True}}}, "max_iter must be an integer, got True"),
 ])
 def test_config_built_in_code_checks_every_field(tmp_path, changes, message):
     fields = {"geometry": GEOM, "solvers": ["ista"], "out": str(tmp_path / "out"), **changes}

@@ -33,6 +33,15 @@ def test_problem_data_validation():
         ProblemData(A, np.array([np.nan, 0.0]), 1.0)
 
 
+def test_problem_data_takes_no_bool_for_alpha():
+    A = SparseMatrix.from_dense(np.eye(2))
+    for alpha, message in ((True, "alpha must be a number, got True"),
+                           (np.inf, "alpha must be finite, got inf"),
+                           (-0.5, "alpha must exceed 0, got -0.5")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProblemData(A, np.zeros(2), alpha)
+
+
 def test_eval_T_identity_example():
     p = ProblemData(SparseMatrix.from_dense(np.eye(2)), np.zeros(2), 1.0)
     assert eval_T(p, np.array([1.0, -1.0])) == 4.0

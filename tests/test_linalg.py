@@ -14,6 +14,7 @@ from sparsenewton import (
     build_parallel_tomo,
     cg_solve,
 )
+from sparsenewton.linalg import check_number
 
 
 def random_sparse(rng, rows, cols, density=0.4):
@@ -58,7 +59,7 @@ def test_dimension_mismatch_messages():
 
 
 def test_csr_validation():
-    with pytest.raises(ValueError, match="shape must be positive"):
+    with pytest.raises(ValueError, match="n_rows must be >= 1, got 0"):
         SparseMatrix(0, 2, [0], [], [])
     with pytest.raises(ValueError, match="start at 0"):
         SparseMatrix(1, 2, [1, 2], [0], [1.0])
@@ -72,6 +73,16 @@ def test_csr_validation():
         SparseMatrix(1, 2, [0, 1], [2], [1.0])
     with pytest.raises(ValueError, match="NaN or infinite"):
         SparseMatrix(1, 2, [0, 1], [0], [np.nan])
+
+
+def test_csr_refuses_a_shape_that_is_not_an_integer():
+    for shape, message in (((3.7, 2), "n_rows must be an integer, got 3.7"),
+                           ((1, True), "n_cols must be an integer, got True"),
+                           ((1, 0), "n_cols must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SparseMatrix(*shape, [0, 1], [0], [1.0])
+    A = SparseMatrix(np.int64(1), np.int32(2), [0, 1], [0], [1.0])
+    assert A.shape == (1, 2) and type(A.n_rows) is int and type(A.n_cols) is int
 
 
 def test_csr_rejects_index_arrays_that_are_not_integers():
@@ -392,6 +403,28 @@ def test_cg_boundary_model_stays_finite_at_a_huge_radius():
                       radius=1e153)
     assert result.on_boundary
     assert np.isfinite(result.model) and result.model == pytest.approx(-2.17e289, rel=1e-3)
+
+
+def test_check_number_takes_no_bool_and_holds_its_floor():
+    check_number("k", 0, 0)
+    check_number("k", np.int64(1), 1, integer=True)
+    check_number("x", np.float32(0.5), 0, False)
+    check_number("x", 2, 1, False)  # an integer is a number
+    for value, options, message in (
+        (True, {"integer": True}, "k must be an integer, got True"),
+        (False, {}, "k must be a number, got False"),
+        (np.True_, {}, f"k must be a number, got {np.True_!r}"),
+        (2.0, {"integer": True}, "k must be an integer, got 2.0"),
+        ("1", {}, "k must be a number, got '1'"),
+        (None, {}, "k must be a number, got None"),
+        (float("nan"), {}, "k must be finite, got nan"),
+        (-np.inf, {}, "k must be finite, got -inf"),
+        (-1, {}, "k must be >= 0, got -1"),
+        (0.0, {"floor_allowed": False}, "k must exceed 0, got 0.0"),
+        (0, {"integer": True, "floor_allowed": False}, "k must exceed 0, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_number("k", value, 0, **options)
 
 
 def test_as_vector_rejects_bad_input():

@@ -536,6 +536,27 @@ def test_newton_stops_at_the_minimizer_once_the_predicted_decrease_is_round_off(
     assert len(solves) <= trace.n_star + 3
 
 
+def test_newton_stops_with_stagnation_after_max_backtracks_rejected_trials(monkeypatch):
+    rng = np.random.default_rng(0)
+    A, y, _ = conditioned_instance(rng)
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 3)
+    log = record_trials(monkeypatch)
+    evaluate = solvers._evaluate
+
+    def rejected(*args):  # row 0 as it is, every trial point far above it
+        point = evaluate(*args)
+        return point if len(log) == 1 else replace(point, f=point.f + 1e6)
+
+    monkeypatch.setattr(solvers, "_evaluate", rejected)
+    cfg = SolverConfig(epsilon=1e-3, x0=rng.standard_normal(20), max_iter=5)
+    _, trace = run_newton(ProblemData(A, y, 0.04), cfg, 0.0)
+    solves = [entry[3] for entry in log if entry[0] == "cg"]
+    assert trace.stop_reason == "stagnation" and trace.n_star == 0
+    assert len(solves) == 3
+    # each trial was rejected, not cut short by the rounding-unit stop
+    assert all(-s.model > np.finfo(float).eps * trace.functionals[0] for s in solves)
+
+
 def test_newton_meets_discrepancy_on_noisy_instance():
     rng = np.random.default_rng(7)
     A, y, delta = conditioned_instance(rng, noise=0.05)
@@ -819,6 +840,32 @@ def test_solver_config_validation():
         message = f"^{knob} must be a number, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{knob: value})
+
+
+def test_solver_config_takes_no_bool_for_a_knob():
+    for knob in ("max_iter", "warm_start"):
+        with pytest.raises(ValueError, match=f"^{knob} must be an integer, got True$"):
+            SolverConfig(**{knob: True})
+    for knob in ("epsilon", "tau", "omega", "inner_tol", "grad_tol"):
+        with pytest.raises(ValueError, match=f"^{knob} must be a number, got False$"):
+            SolverConfig(**{knob: False})
+
+
+@pytest.mark.parametrize("delta,message", [
+    (np.nan, "delta must be finite, got nan"),
+    (-1.0, "delta must be >= 0, got -1.0"),
+    (True, "delta must be a number, got True"),
+])
+@pytest.mark.parametrize("name", list(RUNNERS))
+def test_every_runner_refuses_a_bad_delta_before_its_warm_start(name, delta, message,
+                                                                monkeypatch):
+    rng = np.random.default_rng(16)
+    A = SparseMatrix.from_dense(rng.standard_normal((30, 20)))
+    p = ProblemData(A, rng.standard_normal(30), 0.05)
+    log = ProductLog(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RUNNERS[name](p, SolverConfig(max_iter=40), delta)
+    assert log.products == 0 and p.warm_starts == {}
 
 
 def test_a_stored_warm_start_is_never_handed_out():

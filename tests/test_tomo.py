@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsenewton import (
+    ExperimentConfig,
     TomoGeometry,
     add_noise,
     build_parallel_tomo,
@@ -19,6 +20,7 @@ from sparsenewton import (
     write_pgm,
 )
 from sparsenewton import tomo
+from sparsenewton.experiment import build_instances
 
 ROOT2 = np.sqrt(2.0)
 
@@ -28,12 +30,22 @@ def test_geometry_validation():
         TomoGeometry(0, 4, 4)
     with pytest.raises(ValueError, match=">= 1"):
         TomoGeometry(4, 0, 4)
-    with pytest.raises(ValueError, match="m must be an integer >= 1, got 12.5"):
+    with pytest.raises(ValueError, match="m must be an integer, got 12.5"):
         TomoGeometry(12.5, 6, 14)
     with pytest.raises(ValueError, match="spacing"):
         TomoGeometry(4, 4, 4, spacing=-1.0)
-    with pytest.raises(ValueError, match="spacing must be finite and > 0, got 'a'"):
+    with pytest.raises(ValueError, match="spacing must be a number, got 'a'"):
         TomoGeometry(4, 4, 4, spacing="a")
+
+
+def test_geometry_and_noise_take_no_bool_for_a_number():
+    for args, message in (((True, 2, 2), "m must be an integer, got True"),
+                          ((2, 2, False), "n_beams must be an integer, got False"),
+                          ((2, 2, 2, True), "spacing must be a number, got True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TomoGeometry(*args)
+    with pytest.raises(ValueError, match="^rel_level must be a number, got True$"):
+        add_noise(np.ones(3), True)
 
 
 def test_geometry_properties():
@@ -309,6 +321,23 @@ def test_phantom_is_mostly_zero():
 def test_phantom_rejects_empty_grid():
     with pytest.raises(ValueError, match=">= 1"):
         shepp_logan(0)
+
+
+def test_phantom_checks_m_and_refuses_more_pixels_than_the_limit(tmp_path, monkeypatch):
+    for m in (4.0, True):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {m}$"):
+            shepp_logan(m)
+    # a small limit stands in for MAX_NNZ_BOUND, so that no run of this test,
+    # with the check or without it, allocates a large image
+    monkeypatch.setattr(tomo, "MAX_NNZ_BOUND", 49)  # m = 7 at the limit, m = 8 over it
+    assert shepp_logan(7).size == 49
+    message = "^m = 8 gives 64 pixels, over the limit of 49$"
+    with pytest.raises(ValueError, match=message):
+        shepp_logan(np.int32(8))
+    # one angle and one beam: the projector's bound 17 passes, the phantom's does not
+    config = ExperimentConfig(TomoGeometry(8, 1, 1), ["fista"], out=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match=message):
+        build_instances(config)
 
 
 def test_add_noise_magnitude_is_exact():

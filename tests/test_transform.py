@@ -86,10 +86,15 @@ def test_exact_transform_rejects_second_derivative():
 
 
 def test_transform_spec_validation():
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match="epsilon must be >= 0, got -0.1"):
         TransformSpec(-0.1)
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match="epsilon must be finite, got nan"):
         TransformSpec(np.nan)
+
+
+def test_transform_spec_takes_no_bool():
+    with pytest.raises(ValueError, match="^epsilon must be a number, got False$"):
+        TransformSpec(False)
 
 
 def test_apply_N_values_and_l1_identity():

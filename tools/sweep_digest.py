@@ -7,8 +7,8 @@ Each output line is ``<workload> seed=<seed> <file name> <sha256>``.  Run it
 once against each of two source trees (``PYTHONPATH=<tree>/src``) and compare
 the two outputs with ``diff``: no difference means both trees write the same
 bytes on every workload at every seed given.  The workload configs are those
-of ``WORKLOADS`` in ``perfbench/workloads.py``, read from the file's text so
-that no bytecode is written beside it.
+of ``WORKLOADS`` in ``perfbench/workloads.py``, run from its path by
+``runpy``, which writes no bytecode beside it.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import sys
+import runpy
 import tempfile
-import types
 from pathlib import Path
 
 from sparsenewton import run_experiment
@@ -27,12 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_workloads():
-    """perfbench/workloads.py's WORKLOADS, compiled from the file's text."""
-    path = ROOT / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
-    sys.modules[module.__name__] = module  # where dataclasses looks the module up
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module.WORKLOADS
+    """perfbench/workloads.py's WORKLOADS, run from the file's path."""
+    return runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
 
 
 def sweep_digest(config) -> dict:
