@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import selfcheck
-from .config import SOLVER_NAMES, TIMING_MODES, ConfigError, parse_config
+from .config import SOLVER_NAMES, TIMING_MODES, parse_config
 from .experiment import SUMMARY_HEADER, run_experiment
 
 
@@ -52,11 +52,7 @@ def _load_config(args):
     changes = {"out": args.out, "seed": args.seed, "timing": args.timing,
                "solvers": None if args.solver is None else [args.solver],
                "noise_levels": None if args.noise is None else [args.noise]}
-    try:
-        return replace(config, **{key: value for key, value in changes.items()
-                                  if value is not None})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(config, **{key: value for key, value in changes.items() if value is not None})
 
 
 def _cmd_run(args) -> int:
@@ -75,7 +71,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_run(args)
         return 0 if selfcheck.run_all(args.seed) else 1  # verify, the other sub-command
-    except ConfigError as exc:
+    except ValueError as exc:  # a refused input: the config, a flag or a size limit
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

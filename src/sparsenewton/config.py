@@ -116,24 +116,24 @@ class ExperimentConfig:
             _check_field(f.name, getattr(self, f.name))
 
 
-def _parse(parse, text, line_no, key):
-    """parse(text), reporting a malformed value against its line."""
+def _parse(parse, text, key):
+    """parse(text), with a malformed value reported against key."""
     try:
         return parse(text)
     except ValueError:
         kind = "an integer" if parse is int else "a number"
-        raise ConfigError(f"line {line_no}: {key} must be {kind}, got '{text}'") from None
+        raise ValueError(f"{key} must be {kind}, got '{text}'") from None
 
 
-def _parse_str_list(text, line_no, key):
+def _parse_str_list(text, key):
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise ConfigError(f"line {line_no}: {key} must list at least one item")
+        raise ValueError(f"{key} must list at least one item")
     return items
 
 
-def _parse_float_list(text, line_no, key):
-    return [_parse(float, part, line_no, key) for part in _parse_str_list(text, line_no, key)]
+def _parse_float_list(text, key):
+    return [_parse(float, part, key) for part in _parse_str_list(text, key)]
 
 
 def _check_geometry(key, value):
@@ -152,7 +152,7 @@ _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_lis
 _SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, *_) in SOLVER_KNOBS.items()}
 
 
-def _section_schema(section, line_no):
+def _section_schema(section):
     """The section's key parsers and the check each parsed value must pass."""
     if section == "geometry":
         return _GEOMETRY_KEYS, _check_geometry
@@ -160,12 +160,9 @@ def _section_schema(section, line_no):
         return _EXPERIMENT_KEYS, _check_field
     if section.startswith("solver."):
         name = section[len("solver."):]
-        try:
-            _check_solver_name(name)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
+        _check_solver_name(name)
         return _SOLVER_KEYS, partial(_check_solver_knob, name)
-    raise ConfigError(f"line {line_no}: unknown section [{section}]")
+    raise ValueError(f"unknown section [{section}]")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -181,37 +178,34 @@ def parse_config(path) -> ExperimentConfig:
         try:
             # utf-8-sig drops the byte order mark that some editors write first
             line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"line {line_no}: not UTF-8 text ({exc.reason})") from None
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {line_no}: malformed section header '{line}'")
-            section = line[1:-1].strip()
-            schema, check = _section_schema(section, line_no)
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got '{line}'")
-        if section is None:
-            raise ConfigError(f"line {line_no}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {line_no}: empty key")
-        if key not in schema:
-            raise ConfigError(f"line {line_no}: unknown key '{key}' in section [{section}]")
-        if (section, key) in first_line:
-            raise ConfigError(
-                f"line {line_no}: duplicate key '{key}' in section [{section}] "
-                f"(first set on line {first_line[(section, key)]})"
-            )
-        first_line[(section, key)] = line_no
-        value = schema[key](value, line_no, key)
-        try:
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("["):
+                if not line.endswith("]"):
+                    raise ValueError(f"malformed section header '{line}'")
+                section = line[1:-1].strip()
+                schema, check = _section_schema(section)
+                continue
+            if "=" not in line:
+                raise ValueError(f"expected 'key = value', got '{line}'")
+            if section is None:
+                raise ValueError("key outside any [section]")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if not key:
+                raise ValueError("empty key")
+            if key not in schema:
+                raise ValueError(f"unknown key '{key}' in section [{section}]")
+            if (section, key) in first_line:
+                raise ValueError(f"duplicate key '{key}' in section [{section}] "
+                                 f"(first set on line {first_line[(section, key)]})")
+            first_line[(section, key)] = line_no
+            value = schema[key](value, key)
             check(key, value)
-        except ValueError as exc:
+        except ValueError as exc:  # every defect of a line, UnicodeDecodeError among them
+            if isinstance(exc, UnicodeDecodeError):
+                exc = ValueError(f"not UTF-8 text ({exc.reason})")
             raise ConfigError(f"line {line_no}: {exc}") from None
         sections.setdefault(section, {})[key] = value
 

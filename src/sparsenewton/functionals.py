@@ -101,8 +101,6 @@ def hessian_operator(p: ProblemData, x, spec: TransformSpec, *,
     The Hessian is only ever exposed through this action; it is never
     assembled.
     """
-    if spec.epsilon <= 0.0:
-        raise ValueError("exact transform is not twice differentiable; epsilon > 0 required")
     x = np.asarray(x, dtype=np.float64)
     atr = _adjoint_residual(p, x, spec, atr)
     curvature = hessian_diag(spec, x, atr)

@@ -139,6 +139,7 @@ def _resolve_omega(A, cfg: SolverConfig) -> float:
 def resolve_auto(value, coeff: float, delta: float, y_delta) -> float:
     """value as a float; "auto" is coeff * delta, falling back to
     1e-8 * ||y_delta|| when delta == 0."""
+    check_number("delta", delta, 0)  # before alpha or epsilon is derived from it
     if value != "auto":
         return float(value)
     if delta > 0.0:

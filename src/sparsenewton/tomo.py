@@ -34,8 +34,9 @@ _MIN_CHORD = 1e-12
 # 12.6 at m=128, where nnz is 0.59 of it, under tracemalloc), so this limit
 # caps the build near 650 MB.  shepp_logan refuses more than MAX_NNZ_BOUND
 # pixels: with one angle and one beam the bound above passes at m = 50,000,
-# where each of the phantom's arrays would take 18.6 GiB.  The phantom peaks
-# near 72 bytes a pixel under tracemalloc, so 3.6 GB at this limit.
+# where each of the phantom's m x m arrays would take 18.6 GiB.  The phantom
+# peaks near 40 bytes a pixel under tracemalloc (at m = 256 and 512), so
+# 2.0 GB at this limit.
 MAX_NNZ_BOUND = 50_000_000
 
 
@@ -112,7 +113,7 @@ def shepp_logan(m: int) -> np.ndarray:
     if int(m) ** 2 > MAX_NNZ_BOUND:  # a Python int: no numpy wrap
         raise ValueError(f"m = {m} gives {int(m) ** 2} pixels, over the limit of {MAX_NNZ_BOUND}")
     centers = (np.arange(m) + 0.5) * (2.0 / m) - 1.0
-    xg, yg = np.meshgrid(centers, -centers)  # row 0 on top
+    xg, yg = centers[None, :], -centers[:, None]  # broadcast to m x m; row 0 on top
     img = np.zeros((m, m))
     for density, a, b, x0, y0, phi_deg in SHEPP_LOGAN_ELLIPSES:
         phi = np.deg2rad(phi_deg)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sparsenewton import solvers
+from sparsenewton import solvers, tomo
 from sparsenewton.cli import main
 from sparsenewton.experiment import SUMMARY_HEADER
 from sparsenewton.solvers import RUNNERS
@@ -147,6 +147,23 @@ def test_flags_are_checked_like_the_file(tmp_path, config_path, capsys, command,
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m,n_angles,n_beams", [
+    (32, 1, 1),  # 1,024 pixels: the phantom's limit
+    (8, 60, 45),  # 60 * 45 * 17 = 45,900 possible nonzeros: the projector's limit
+])
+def test_a_problem_over_the_size_limits_is_refused_in_one_line(tmp_path, capsys, monkeypatch,
+                                                               m, n_angles, n_beams):
+    monkeypatch.setattr(tomo, "MAX_NNZ_BOUND", 1000)  # stands in for the real limit
+    path = tmp_path / "big.cfg"
+    path.write_text(f"[geometry]\nm = {m}\nn_angles = {n_angles}\nn_beams = {n_beams}\n\n"
+                    "[experiment]\nsolvers = fista\n")
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("config error: ") and "over the limit" in err[0]
 
 
 @pytest.mark.parametrize("seed", ["-1", "x"])

@@ -334,3 +334,60 @@ def test_only_the_cell_that_computes_a_warm_start_pays_for_it(tmp_path, monkeypa
     for name, row_zero_wall in (("gd", "5"), ("lm", "0"), ("newton", "0")):
         lines = (tmp_path / f"trace_{name}_0.1_0.csv").read_text().splitlines()
         assert lines[2].split(",")[-1] == row_zero_wall
+
+
+# The desk-sweep workload of perfbench/workloads.py at seed 0, its 120 cells
+# sharing warm starts as any sweep does.
+DESK = ExperimentConfig(TomoGeometry(32, 60, 45), list(SOLVER_NAMES), [0.05, 0.1, 0.2], 8, 0,
+                        "unused", "off")
+# Upper bounds on its work: A and A^T products per method (a warm start
+# charged to the cell that computes it), in the power method and in set-up
+# (A x_true), and the CG solves with their iterations.  Each equals the count
+# measured when the bound was set; a change that lowers a count may tighten
+# its bound, and one that raises a count has to edit it here.
+DESK_PRODUCTS = {"ista": 898, "fista": 410, "gd": 532, "lm": 374, "newton": 270,
+                 "power": 28, "setup": 1}
+DESK_CG_SOLVES, DESK_CG_ITERATIONS = 55, 243
+
+
+def test_the_desk_sweep_stays_within_its_pinned_work(tmp_path, monkeypatch):
+    products = dict.fromkeys(DESK_PRODUCTS, 0)
+    payers = ["setup"]  # who pays for a product: the innermost charged call
+
+    def charged(payer, fn):
+        def call(*args, **kwargs):
+            payers.append(payer)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                payers.pop()
+        return call
+
+    for name in SOLVER_NAMES:
+        monkeypatch.setitem(RUNNERS, name, charged(name, RUNNERS[name]))
+    monkeypatch.setattr(SparseMatrix, "norm2_estimate",
+                        charged("power", SparseMatrix.norm2_estimate))
+    for attr in ("matvec", "transpose_matvec"):
+        product = getattr(SparseMatrix, attr)
+
+        def counted(A, v, product=product):
+            products[payers[-1]] += 1
+            return product(A, v)
+
+        monkeypatch.setattr(SparseMatrix, attr, counted)
+    cg_iterations = []
+    cg = solvers.cg_solve
+
+    def counted_cg(*args, **kwargs):
+        result = cg(*args, **kwargs)
+        cg_iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(solvers, "cg_solve", counted_cg)
+    rows = run_experiment(dataclasses.replace(DESK, out=str(tmp_path)))
+    assert len(rows) == 120 and not any(",error," in row for row in rows)
+    over = {key: (count, DESK_PRODUCTS[key]) for key, count in products.items()
+            if count > DESK_PRODUCTS[key]}
+    assert not over, f"products over their bounds (count, bound): {over}"
+    assert len(cg_iterations) <= DESK_CG_SOLVES
+    assert sum(cg_iterations) <= DESK_CG_ITERATIONS

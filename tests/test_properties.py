@@ -40,6 +40,18 @@ def sparse_matrices(draw, max_side=8):
     return A, dense
 
 
+def assert_adjoint_identity(A, x, y):
+    gap = abs(A.matvec(x) @ y - x @ A.transpose_matvec(y))
+    # rounding of the sums the two products form, each bounded by |y|^T M |x|
+    # with M summing the absolute stored entries of each cell: stored entries
+    # that share a cell can cancel in the dense matrix, not in those sums
+    magnitudes = np.zeros((A.n_rows, A.n_cols))
+    rows = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
+    np.add.at(magnitudes, (rows, A.col_indices), np.abs(A.values))
+    scale = np.abs(y) @ magnitudes @ np.abs(x)
+    assert gap <= 1e-13 * scale + 1e-300
+
+
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_products_satisfy_the_adjoint_identity(data):
@@ -47,10 +59,17 @@ def test_products_satisfy_the_adjoint_identity(data):
     x = data.draw(arrays(np.float64, A.n_cols, elements=entries))
     y = data.draw(arrays(np.float64, A.n_rows, elements=entries))
     np.testing.assert_allclose(A.matvec(x), dense @ x, rtol=1e-12, atol=1e-10)
-    gap = abs(A.matvec(x) @ y - x @ A.transpose_matvec(y))
-    # rounding of the two dot products, each bounded by |y|^T |A| |x|
-    scale = np.abs(y) @ np.abs(dense) @ np.abs(x)
-    assert gap <= 1e-13 * scale + 1e-300
+    assert_adjoint_identity(A, x, y)
+
+
+def test_the_adjoint_identity_holds_where_stored_entries_cancel():
+    # row 0 stores 1 and -1 in column 0, so the dense matrix is [[0, 1], [0, 0]]
+    # and bounds the rounding by 4.65e-58; but A x rounds the tiny x[1] away
+    # against 1, while A^T y sums column 0 to exactly 0 and keeps it
+    A = SparseMatrix(2, 2, [0, 3, 3], [0, 1, 0], [1.0, 1.0, -1.0])
+    x, y = np.array([1.0, 4.65e-45]), np.array([1.0, 1.0])
+    assert abs(A.matvec(x) @ y - x @ A.transpose_matvec(y)) > 1e-13 * 4.65e-45
+    assert_adjoint_identity(A, x, y)
 
 
 @PROPERTY_SETTINGS

@@ -868,6 +868,18 @@ def test_every_runner_refuses_a_bad_delta_before_its_warm_start(name, delta, mes
     assert log.products == 0 and p.warm_starts == {}
 
 
+@pytest.mark.parametrize("name", ["gd", "lm", "newton"])
+def test_an_infinite_delta_is_named_before_epsilon_is_derived_from_it(name, monkeypatch):
+    # epsilon = "auto" is 1e-4 * delta, which is infinite too
+    rng = np.random.default_rng(16)
+    A = SparseMatrix.from_dense(rng.standard_normal((30, 20)))
+    p = ProblemData(A, rng.standard_normal(30), 0.05)
+    log = ProductLog(monkeypatch)
+    with pytest.raises(ValueError, match="^delta must be finite, got inf$"):
+        RUNNERS[name](p, SolverConfig(max_iter=40, epsilon="auto"), np.inf)
+    assert log.products == 0 and p.warm_starts == {}
+
+
 def test_a_stored_warm_start_is_never_handed_out():
     # at max_iter = 0 the run returns its initial point, the warm start itself
     rng = np.random.default_rng(15)

@@ -313,6 +313,19 @@ def test_phantom_bytes_are_pinned(m, digest):
     assert hashlib.sha256(shepp_logan(m).tobytes()).hexdigest() == digest
 
 
+def test_phantom_rasterizes_from_broadcast_coordinates():
+    # a row and a column of pixel centers broadcast to m x m only in each
+    # ellipse's rotated coordinates: measured 40.1 bytes a pixel at m = 256
+    # and 512, where full coordinate grids took 72
+    tracemalloc.start()
+    try:
+        shepp_logan(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * 256 * 256
+
+
 def test_phantom_is_mostly_zero():
     img = shepp_logan(50)
     assert np.count_nonzero(img) == 1244  # under half of 2500
