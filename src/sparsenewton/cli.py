@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: sweep (the solver x noise grid, or one solver and one noise
-level with --solver and --noise) and verify (built-in self checks).  Flags
-override the corresponding config values.
+Subcommands: sweep (the solver x noise grid of a config file) and verify
+(built-in self checks).  Each of sweep's value flags overrides one
+[experiment] key and takes exactly the text that key takes in the file, so
+config.py parses and checks every flag value, verify's --seed among them.
 """
 
 from __future__ import annotations
@@ -12,15 +13,10 @@ import sys
 from dataclasses import replace
 
 from . import selfcheck
-from .config import SOLVER_NAMES, TIMING_MODES, parse_config
+from .config import parse_config, parse_experiment_value
 from .experiment import SUMMARY_HEADER, run_experiment
 
-
-def _seed(text) -> int:
-    """verify's --seed: an integer >= 0, as numpy's generators need."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+_FLAG_KEYS = ("out", "seed", "solvers", "noise_levels", "timing")  # sweep's flags' dests
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,31 +28,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the full solver x noise sweep")
     p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--out", help="output directory (overrides the config)")
-    p.add_argument("--seed", type=int, help="base seed (overrides the config)")
-    p.add_argument("--solver", choices=SOLVER_NAMES, help="restrict to one solver")
-    p.add_argument("--noise", type=float, help="restrict to one noise level")
-    p.add_argument("--timing", choices=TIMING_MODES,
-                   help="wall-clock columns or zeros (byte-reproducible)")
+    p.add_argument("--out", help="overrides out, the output directory")
+    p.add_argument("--seed", help="overrides seed, the base seed")
+    p.add_argument("--solver", dest="solvers", help="overrides solvers, e.g. lm or ista,lm")
+    p.add_argument("--noise", dest="noise_levels", help="overrides noise_levels, e.g. 0.1,0.2")
+    p.add_argument("--timing", help="overrides timing: wall, or off for zeros (byte-reproducible)")
 
     p = sub.add_parser("verify", help="run the built-in self checks")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", default="0", help="an integer >= 0, as the config's seed")
     return parser
 
 
-def _load_config(args):
-    """The parsed config with the flags applied; the flags go through the
-    same ExperimentConfig checks as the file.  --solver and --noise each
-    restrict the sweep to the one value given."""
-    config = parse_config(args.config)
-    changes = {"out": args.out, "seed": args.seed, "timing": args.timing,
-               "solvers": None if args.solver is None else [args.solver],
-               "noise_levels": None if args.noise is None else [args.noise]}
-    return replace(config, **{key: value for key, value in changes.items() if value is not None})
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    """Run the config file's sweep with the given flags applied, each flag's
+    text parsed and checked as its [experiment] key's line in the file is."""
+    config = replace(parse_config(args.config),
+                     **{key: parse_experiment_value(key, getattr(args, key))
+                        for key in _FLAG_KEYS if getattr(args, key) is not None})
     rows = run_experiment(config)
     print(SUMMARY_HEADER)
     for row in rows:
@@ -70,7 +58,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return _cmd_run(args)
-        return 0 if selfcheck.run_all(args.seed) else 1  # verify, the other sub-command
+        # verify, the other sub-command
+        return 0 if selfcheck.run_all(parse_experiment_value("seed", args.seed)) else 1
     except ValueError as exc:  # a refused input: the config, a flag or a size limit
         print(f"config error: {exc}", file=sys.stderr)
         return 2

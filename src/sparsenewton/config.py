@@ -152,6 +152,14 @@ _EXPERIMENT_KEYS = {"solvers": _parse_str_list, "noise_levels": _parse_float_lis
 _SOLVER_KEYS = {key: partial(_parse, parse) for key, (parse, *_) in SOLVER_KNOBS.items()}
 
 
+def parse_experiment_value(key, text):
+    """The value of [experiment] key written as text, parsed and checked as on
+    a config file's line; raises ValueError for a value the file would refuse."""
+    value = _EXPERIMENT_KEYS[key](text, key)
+    _check_field(key, value)
+    return value
+
+
 def _section_schema(section):
     """The section's key parsers and the check each parsed value must pass."""
     if section == "geometry":

@@ -124,10 +124,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1):
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}")
+    instances = build_instances(config)  # refuses a problem over the size limits before any write
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for (li, rep), instance in build_instances(config).items():
+    for (li, rep), instance in instances.items():
         warm_starts = {}  # shared by the instance's cells (ProblemData.warm_starts)
         for name in config.solvers:
             result = _run_cell(name, config.solver_overrides.get(name, {}), instance,

@@ -269,3 +269,25 @@ def test_criterion_10_sweeps_are_byte_reproducible(sweep, tmp_path):
     for name in traces:
         assert (out / name).read_bytes() == (first_out / name).read_bytes()
     print(f"\nsummary and {len(traces)} trace files byte-identical")
+
+
+def test_lm_and_newton_errors_fall_as_the_noise_goes_to_zero(tmp_path):
+    """The delta -> 0 regime: Newton keeps the linear rate O(delta) that l1
+    regularization reaches under a source condition, a fall of about 10x a
+    decade; LM's last decade is where its relative shift floor binds."""
+    levels = [1e-2, 1e-3, 1e-4]
+    rows = run_experiment(ExperimentConfig(SWEEP_GEOMETRY, ["lm", "newton"], levels,
+                                           2, 0, str(tmp_path), "off"))
+    errors = {}
+    for row in rows:
+        solver, noise, _, reason, _, _, rel_error = row.split(",")
+        assert reason == "discrepancy", row
+        errors.setdefault((solver, float(noise)), []).append(float(rel_error))
+    bounds = {"lm": (7.0, 4.0), "newton": (7.0, 7.0)}
+    for solver, decade_bounds in bounds.items():
+        means = [np.mean(errors[(solver, level)]) for level in levels]
+        falls = [a / b for a, b in zip(means, means[1:])]
+        print(f"\n{solver} mean errors " + " ".join(f"{m:.3g}" for m in means)
+              + ", falls per decade " + " ".join(f"{f:.2f}" for f in falls)
+              + " (>= " + ", ".join(f"{b:g}" for b in decade_bounds) + ")")
+        assert all(f >= b for f, b in zip(falls, decade_bounds))
