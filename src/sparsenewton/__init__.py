@@ -10,10 +10,16 @@ from .config import SOLVER_NAMES, ConfigError, ExperimentConfig, parse_config
 from .experiment import run_experiment
 from .functionals import (
     ProblemData,
+    TransformSpec,
+    apply_N,
+    apply_N_eps,
+    apply_N_inverse,
     back_transform,
     eval_J,
     eval_T,
     grad_J,
+    gradient_diag,
+    hessian_diag,
     hessian_operator,
 )
 from .linalg import (
@@ -43,14 +49,6 @@ from .tomo import (
     ray_cell_chords,
     shepp_logan,
     write_pgm,
-)
-from .transform import (
-    TransformSpec,
-    apply_N,
-    apply_N_eps,
-    apply_N_inverse,
-    gradient_diag,
-    hessian_diag,
 )
 
 __version__ = "0.1.0"

@@ -75,11 +75,11 @@ def _check_field(key, value):
             raise ValueError(f"noise_levels must be a list of numbers, got {value!r}")
         stems = {}
         for level in value:
-            check_number("noise levels", level, 0)
+            check_number("noise_levels", level, 0)
             stem = f"{level:g}"  # how output file names carry the level
             if stem in stems:
-                raise ValueError(f"noise levels {stems[stem]!r} and {level!r} would write "
-                                 f"the same files (both print as {stem})")
+                raise ValueError(f"noise_levels lists {stems[stem]!r} and {level!r}, which would "
+                                 f"write the same files (both print as {stem})")
             stems[stem] = level
     if key in ("repetitions", "seed"):
         check_number(key, value, 0, integer=True)

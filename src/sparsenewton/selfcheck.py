@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import ProblemData, eval_J, grad_J, hessian_operator
+from .functionals import (ProblemData, TransformSpec, apply_N, apply_N_eps, eval_J, grad_J,
+                          gradient_diag, hessian_diag, hessian_operator)
 from .linalg import SparseMatrix, cg_solve
 from .solvers import SolverConfig, run_ista, soft_threshold
 from .tomo import TomoGeometry, build_parallel_tomo, shepp_logan
-from .transform import TransformSpec, apply_N, apply_N_eps, gradient_diag, hessian_diag
 
 
 def _random_problem(rng, n_rows, n_cols, alpha=0.5):

@@ -34,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .functionals import ProblemData, back_transform, eval_J, eval_T, grad_J, hessian_operator
+from .functionals import (ProblemData, TransformSpec, apply_N_inverse, back_transform, eval_J,
+                          eval_T, grad_J, gradient_diag, hessian_operator)
 from .linalg import as_vector, cg_solve, check_number
-from .transform import TransformSpec, apply_N_inverse, gradient_diag
 
 STAGNATION_RTOL = 1e-14
 STAGNATION_WINDOW = 10

@@ -137,9 +137,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,flags,message", [
-    ("sweep", ["--noise", "-0.5"], "noise levels must be >= 0, got -0.5"),
-    ("sweep", ["--noise", "nan"], "noise levels must be finite, got nan"),
-    ("sweep", ["--solver", "ista", "--noise", "inf"], "noise levels must be finite, got inf"),
+    ("sweep", ["--noise", "-0.5"], "noise_levels must be >= 0, got -0.5"),
+    ("sweep", ["--noise", "nan"], "noise_levels must be finite, got nan"),
+    ("sweep", ["--solver", "ista", "--noise", "inf"], "noise_levels must be finite, got inf"),
     ("sweep", ["--seed", "-3"], "seed must be >= 0, got -3"),
     ("sweep", ["--solver", "bogus"], "unknown solver 'bogus'; available: ista, fista, gd, lm, newton"),
     ("sweep", ["--timing", "never"], "timing must be one of wall, off, got 'never'"),

@@ -113,12 +113,12 @@ def test_config_error_is_value_error():
     ("[geometry]\nspacing = nan\n", r"line 9: invalid geometry: spacing must be finite, got nan"),
     ("[geometry]\nspacing = inf\n", r"line 9: invalid geometry: spacing must be finite, got inf"),
     ("[geometry]\nspacing = 0\n", r"line 9: invalid geometry: spacing must exceed 0, got 0.0"),
-    ("noise_levels = 0.1, -0.2\n", r"line 8: noise levels must be >= 0"),
+    ("noise_levels = 0.1, -0.2\n", r"line 8: noise_levels must be >= 0"),
     ("repetitions = -1\n", r"line 8: repetitions must be >= 0"),
     ("noise_levels = 0.1, abc\n", r"noise_levels must be a number, got 'abc'"),
-    ("noise_levels = nan\n", r"line 8: noise levels must be finite, got nan"),
+    ("noise_levels = nan\n", r"line 8: noise_levels must be finite, got nan"),
     ("noise_levels = 0.1, 0.1000000001\n",
-     r"line 8: noise levels 0.1 and 0.1000000001 would write the same files"),
+     r"line 8: noise_levels lists 0.1 and 0.1000000001, which would write the same files"),
     ("[solver.ista]\nripple = 1\n", r"line 9: unknown key 'ripple' in section \[solver.ista\]"),
     ("[trains]\nspeed = 3\n", r"line 8: unknown section \[trains\]"),
     ("[solver.bfgs]\ntau = 2\n", r"line 8: unknown solver 'bfgs'; available: ista"),

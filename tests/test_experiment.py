@@ -197,7 +197,7 @@ def test_criterion_8_holds_at_other_base_seeds(tmp_path, seed):
 
 def test_colliding_noise_levels_raise_before_any_file_is_written(tmp_path):
     out = tmp_path / "collide"
-    with pytest.raises(ValueError, match="0.1 and 0.1000000001 would write the same files"):
+    with pytest.raises(ValueError, match="0.1 and 0.1000000001, which would write the same files"):
         run_experiment(ExperimentConfig(GEOM, ["fista"], [0.1, 0.1000000001], 1, 0,
                                         str(out), "off"))
     assert not out.exists()
@@ -250,10 +250,10 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
     ({"solver_overrides": {"ista": {"alpha": "x"}}}, "alpha must be a number, got 'x'"),
     ({"solver_overrides": {"ista": {"tau": "1.5"}}}, "tau must be a number, got '1.5'"),
     ({"noise_levels": 0.1}, "noise_levels must be a list of numbers, got 0.1"),
-    ({"noise_levels": ["0.1"]}, "noise levels must be a number, got '0.1'"),
+    ({"noise_levels": ["0.1"]}, "noise_levels must be a number, got '0.1'"),
     ({"solvers": "ista"}, "solvers must be a list of solver names, got 'ista'"),
     ({"solver_overrides": {"lm": {"inner_tol": None}}}, "inner_tol must be a number, got None"),
-    ({"noise_levels": [True]}, "noise levels must be a number, got True"),
+    ({"noise_levels": [True]}, "noise_levels must be a number, got True"),
     ({"repetitions": True}, "repetitions must be an integer, got True"),
     ({"seed": False}, "seed must be an integer, got False"),
     ({"solver_overrides": {"gd": {"max_iter": True}}}, "max_iter must be an integer, got True"),
@@ -336,22 +336,34 @@ def test_only_the_cell_that_computes_a_warm_start_pays_for_it(tmp_path, monkeypa
         assert lines[2].split(",")[-1] == row_zero_wall
 
 
-# The desk-sweep workload of perfbench/workloads.py at seed 0, its 120 cells
-# sharing warm starts as any sweep does.
-DESK = ExperimentConfig(TomoGeometry(32, 60, 45), list(SOLVER_NAMES), [0.05, 0.1, 0.2], 8, 0,
-                        "unused", "off")
-# Upper bounds on its work: A and A^T products per method (a warm start
-# charged to the cell that computes it), in the power method and in set-up
-# (A x_true), and the CG solves with their iterations.  Each equals the count
-# measured when the bound was set; a change that lowers a count may tighten
-# its bound, and one that raises a count has to edit it here.
-DESK_PRODUCTS = {"ista": 898, "fista": 410, "gd": 532, "lm": 374, "newton": 270,
-                 "power": 28, "setup": 1}
-DESK_CG_SOLVES, DESK_CG_ITERATIONS = 55, 243
+# The two benchmark workloads of perfbench/workloads.py at seed 0, the cells
+# of each sweep sharing warm starts as any sweep does, with upper bounds on
+# their work: A and A^T products per method (a warm start charged to the cell
+# that computes it), in the power method and in set-up (A x_true), and the CG
+# solves with their iterations.  Each bound equals the count measured when it
+# was set; a change that lowers a count may tighten its bound, and one that
+# raises a count has to edit it here.
+PINNED_WORK = {
+    "desk-sweep": (
+        ExperimentConfig(TomoGeometry(32, 60, 45), list(SOLVER_NAMES), [0.05, 0.1, 0.2], 8, 0,
+                         "unused", "off"),
+        {"ista": 898, "fista": 410, "gd": 532, "lm": 374, "newton": 270, "power": 28, "setup": 1},
+        (55, 243),
+    ),
+    "lownoise-m64": (
+        ExperimentConfig(TomoGeometry(64, 120, 90), list(SOLVER_NAMES), [0.01], 5, 0,
+                         "unused", "off"),
+        {"ista": 1724, "fista": 310, "gd": 453, "lm": 221, "newton": 305, "power": 28,
+         "setup": 1},
+        (40, 218),
+    ),
+}
 
 
-def test_the_desk_sweep_stays_within_its_pinned_work(tmp_path, monkeypatch):
-    products = dict.fromkeys(DESK_PRODUCTS, 0)
+@pytest.mark.parametrize("workload", PINNED_WORK)
+def test_each_benchmark_sweep_stays_within_its_pinned_work(workload, tmp_path, monkeypatch):
+    config, bounds, (cg_solves, cg_total) = PINNED_WORK[workload]
+    products = dict.fromkeys(bounds, 0)
     payers = ["setup"]  # who pays for a product: the innermost charged call
 
     def charged(payer, fn):
@@ -384,10 +396,10 @@ def test_the_desk_sweep_stays_within_its_pinned_work(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(solvers, "cg_solve", counted_cg)
-    rows = run_experiment(dataclasses.replace(DESK, out=str(tmp_path)))
-    assert len(rows) == 120 and not any(",error," in row for row in rows)
-    over = {key: (count, DESK_PRODUCTS[key]) for key, count in products.items()
-            if count > DESK_PRODUCTS[key]}
+    rows = run_experiment(dataclasses.replace(config, out=str(tmp_path)))
+    cells = len(config.solvers) * len(config.noise_levels) * config.repetitions
+    assert len(rows) == cells and not any(",error," in row for row in rows)
+    over = {key: (count, bounds[key]) for key, count in products.items() if count > bounds[key]}
     assert not over, f"products over their bounds (count, bound): {over}"
-    assert len(cg_iterations) <= DESK_CG_SOLVES
-    assert sum(cg_iterations) <= DESK_CG_ITERATIONS
+    assert len(cg_iterations) <= cg_solves
+    assert sum(cg_iterations) <= cg_total

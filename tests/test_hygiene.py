@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package is used, the README matches
 the knobs, config format and subcommands it documents, the benchmark's
-tracer still finds every name it wraps, and the sweep digest tool works."""
+tracer still finds every name it wraps, and the sweep digest and code line
+tools work."""
 
 import argparse
 import ast
@@ -156,3 +157,26 @@ def test_sweep_digest_covers_the_benchmark_and_repeats_itself(tmp_path):
                      for run in "ab")
     assert first == second
     assert len(first) == 2 * len(SOLVER_NAMES) + 1 and "summary.csv" in first
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines():
+    """tools/code_lines.py counts the import, the def and all five lines of
+    the call, the string inside it included, and nothing else."""
+    tool = module_from_text("tools/code_lines.py")
+    source = "\n".join([
+        '"""A module docstring',
+        'over two lines."""',
+        "",
+        "import os  # a comment after code",
+        "",
+        "# a comment line",
+        "def f(x):",
+        '    """A function docstring."""',
+        "    return os.path.join(",
+        "        x,",
+        '        """a string',
+        'over two lines""",',
+        "    )",
+        "",
+    ])
+    assert tool.count_code_lines(source) == 7
