@@ -6,8 +6,7 @@ bundles the transform and its C^2 smoothing, first- and second-order solvers
 for both formulations, and a parallel-beam tomography benchmark.
 """
 
-from .config import SOLVER_NAMES, ConfigError, ExperimentConfig, parse_config
-from .experiment import run_experiment
+from .experiment import ConfigError, ExperimentConfig, ProblemInstance, parse_config, run_experiment
 from .functionals import (
     ProblemData,
     TransformSpec,
@@ -30,6 +29,7 @@ from .linalg import (
     cg_solve,
 )
 from .solvers import (
+    SOLVER_NAMES,
     DivergenceError,
     IterationTrace,
     SolverConfig,
@@ -42,7 +42,6 @@ from .solvers import (
     soft_threshold,
 )
 from .tomo import (
-    ProblemInstance,
     TomoGeometry,
     add_noise,
     build_parallel_tomo,

@@ -3,7 +3,7 @@
 Subcommands: sweep (the solver x noise grid of a config file) and verify
 (built-in self checks).  Each of sweep's value flags overrides one
 [experiment] key and takes exactly the text that key takes in the file, so
-config.py parses and checks every flag value, verify's --seed among them.
+experiment.py parses and checks every flag value, verify's --seed among them.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import selfcheck
-from .config import parse_config, parse_experiment_value
-from .experiment import SUMMARY_HEADER, run_experiment
+from .experiment import SUMMARY_HEADER, parse_config, parse_experiment_value, run_experiment
 
 _FLAG_KEYS = ("out", "seed", "solvers", "noise_levels", "timing")  # sweep's flags' dests
 

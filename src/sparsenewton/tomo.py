@@ -32,11 +32,11 @@ _MIN_CHORD = 1e-12
 # A ray crosses at most 2m + 1 cells, so n_angles * n_beams * (2m + 1) bounds
 # nnz.  The build peaks near 13 bytes per unit of that bound (12.9 at m=64 and
 # 12.6 at m=128, where nnz is 0.59 of it, under tracemalloc), so this limit
-# caps the build near 650 MB.  shepp_logan refuses more than MAX_NNZ_BOUND
-# pixels: with one angle and one beam the bound above passes at m = 50,000,
-# where each of the phantom's m x m arrays would take 18.6 GiB.  The phantom
-# peaks near 40 bytes a pixel under tracemalloc (at m = 256 and 512), so
-# 2.0 GB at this limit.
+# caps the build near 650 MB.  shepp_logan refuses more than MAX_NNZ_BOUND // 3
+# pixels (m >= 4,083): with one angle and one beam the bound above passes at
+# m = 50,000, where each of the phantom's m x m arrays would take 18.6 GiB.
+# The phantom peaks near 40 bytes a pixel under tracemalloc (at m = 256 and
+# 512), so near 667 MB at its limit, about the build's cap.
 MAX_NNZ_BOUND = 50_000_000
 
 
@@ -77,14 +77,6 @@ class TomoGeometry:
         return (np.arange(self.n_beams) - 0.5 * (self.n_beams - 1)) * spacing
 
 
-@dataclass
-class ProblemInstance:
-    A: SparseMatrix
-    x_true: np.ndarray
-    y_delta: np.ndarray
-    delta: float
-
-
 # Shepp-Logan head phantom, the standard (not contrast-enhanced) 10 ellipses:
 # density, semi-axes a and b, center x and y in the square [-1, 1]^2, and
 # rotation in degrees.
@@ -107,11 +99,12 @@ def shepp_logan(m: int) -> np.ndarray:
 
     Densities are summed over the ellipses containing each center, with the
     table's unit square mapped onto the image extent.  An m with more than
-    MAX_NNZ_BOUND pixels is refused before anything is allocated.
+    MAX_NNZ_BOUND // 3 pixels, the build's memory budget at the phantom's 40
+    bytes a pixel, is refused before anything is allocated.
     """
     check_number("m", m, 1, integer=True)
-    if int(m) ** 2 > MAX_NNZ_BOUND:  # a Python int: no numpy wrap
-        raise ValueError(f"m = {m} gives {int(m) ** 2} pixels, over the limit of {MAX_NNZ_BOUND}")
+    if int(m) ** 2 > (limit := MAX_NNZ_BOUND // 3):  # a Python int: no numpy wrap
+        raise ValueError(f"m = {m} gives {int(m) ** 2} pixels, over the limit of {limit}")
     centers = (np.arange(m) + 0.5) * (2.0 / m) - 1.0
     xg, yg = centers[None, :], -centers[:, None]  # broadcast to m x m; row 0 on top
     img = np.zeros((m, m))

@@ -2,9 +2,8 @@
 
 import pytest
 
-from sparsenewton import cli, solvers, tomo
+from sparsenewton import cli, parse_config, solvers, tomo
 from sparsenewton.cli import main
-from sparsenewton.config import parse_config
 from sparsenewton.experiment import SUMMARY_HEADER
 from sparsenewton.solvers import RUNNERS
 

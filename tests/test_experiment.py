@@ -257,6 +257,10 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
     ({"repetitions": True}, "repetitions must be an integer, got True"),
     ({"seed": False}, "seed must be an integer, got False"),
     ({"solver_overrides": {"gd": {"max_iter": True}}}, "max_iter must be an integer, got True"),
+    ({"solver_overrides": [("lm", {})]},
+     r"solver_overrides must map solvers to dicts of knobs, got \[\('lm', \{\}\)\]"),
+    ({"solver_overrides": {"lm": None}},
+     r"solver_overrides must map solvers to dicts of knobs, got \{'lm': None\}"),
 ])
 def test_config_built_in_code_checks_every_field(tmp_path, changes, message):
     fields = {"geometry": GEOM, "solvers": ["ista"], "out": str(tmp_path / "out"), **changes}
@@ -336,13 +340,14 @@ def test_only_the_cell_that_computes_a_warm_start_pays_for_it(tmp_path, monkeypa
         assert lines[2].split(",")[-1] == row_zero_wall
 
 
-# The two benchmark workloads of perfbench/workloads.py at seed 0, the cells
-# of each sweep sharing warm starts as any sweep does, with upper bounds on
-# their work: A and A^T products per method (a warm start charged to the cell
-# that computes it), in the power method and in set-up (A x_true), and the CG
-# solves with their iterations.  Each bound equals the count measured when it
-# was set; a change that lowers a count may tighten its bound, and one that
-# raises a count has to edit it here.
+# Sweeps at seed 0 whose work is pinned: the two benchmark workloads of
+# perfbench/workloads.py and the delta -> 0 sweep of test_acceptance.py, where
+# LM's and Newton's inner solves grow.  The cells of each sweep share warm
+# starts as any sweep does.  The upper bounds are on A and A^T products per
+# method (a warm start charged to the cell that computes it), in the power
+# method and in set-up (A x_true), and on the CG solves with their iterations.
+# Each bound equals the count measured when it was set; a change that lowers a
+# count may tighten its bound, and one that raises a count has to edit it here.
 PINNED_WORK = {
     "desk-sweep": (
         ExperimentConfig(TomoGeometry(32, 60, 45), list(SOLVER_NAMES), [0.05, 0.1, 0.2], 8, 0,
@@ -357,11 +362,17 @@ PINNED_WORK = {
          "setup": 1},
         (40, 218),
     ),
+    "small-noise": (
+        ExperimentConfig(TomoGeometry(32, 60, 45), ["lm", "newton"], [1e-2, 1e-3, 1e-4], 2, 0,
+                         "unused", "off"),
+        {"lm": 598, "newton": 1162, "power": 28, "setup": 1},
+        (87, 757),
+    ),
 }
 
 
 @pytest.mark.parametrize("workload", PINNED_WORK)
-def test_each_benchmark_sweep_stays_within_its_pinned_work(workload, tmp_path, monkeypatch):
+def test_each_pinned_sweep_stays_within_its_work(workload, tmp_path, monkeypatch):
     config, bounds, (cg_solves, cg_total) = PINNED_WORK[workload]
     products = dict.fromkeys(bounds, 0)
     payers = ["setup"]  # who pays for a product: the innermost charged call

@@ -1,7 +1,7 @@
-"""Source hygiene: every import in the package is used, the README matches
-the knobs, config format and subcommands it documents, the benchmark's
-tracer still finds every name it wraps, and the sweep digest and code line
-tools work."""
+"""Source hygiene: every import in the package is used and none takes a
+private name of another module, the README matches the knobs, config format
+and subcommands it documents, the benchmark's tracer still finds every name
+it wraps, and the sweep digest and code line tools work."""
 
 import argparse
 import ast
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, config, experiment, parse_config
+from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, experiment, parse_config
 from sparsenewton.cli import build_parser
 from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
@@ -44,6 +44,17 @@ def test_unused_import_check_finds_a_leftover():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore stays inside its module: no relative
+    import in the package reaches for one."""
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def readme_block(first_word):
@@ -114,7 +125,7 @@ def test_readme_command_lines_name_exactly_the_subcommands():
 
 
 def test_readme_names_every_config_key_and_sweep_option():
-    for key in [*config._GEOMETRY_KEYS, *config._EXPERIMENT_KEYS]:
+    for key in [*experiment._GEOMETRY_KEYS, *experiment._EXPERIMENT_KEYS]:
         assert re.search(rf"`{key}`|^{key} = ", README, flags=re.M), key
     for action in subcommands(build_parser())["sweep"]._actions:
         if not isinstance(action, argparse._HelpAction):

@@ -342,7 +342,7 @@ def test_phantom_checks_m_and_refuses_more_pixels_than_the_limit(tmp_path, monke
             shepp_logan(m)
     # a small limit stands in for MAX_NNZ_BOUND, so that no run of this test,
     # with the check or without it, allocates a large image
-    monkeypatch.setattr(tomo, "MAX_NNZ_BOUND", 49)  # m = 7 at the limit, m = 8 over it
+    monkeypatch.setattr(tomo, "MAX_NNZ_BOUND", 147)  # 49 pixels: m = 7 at the limit, m = 8 over it
     assert shepp_logan(7).size == 49
     message = "^m = 8 gives 64 pixels, over the limit of 49$"
     with pytest.raises(ValueError, match=message):
