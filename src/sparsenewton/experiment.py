@@ -67,45 +67,41 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_solver_knob(name, key, value):
-    """Raise ValueError when a knob's value is out of range for solver name:
-    check_knob's rules, and Newton also needs a smoothed transform."""
-    check_knob(key, value)
-    if name == "newton" and key == "epsilon" and value == 0.0:
-        raise ValueError("epsilon must be > 0 for newton")
-
-
 def _check_solver_name(name):
-    if name not in SOLVER_NAMES:
+    if not isinstance(name, str) or name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver '{name}'; available: {', '.join(SOLVER_NAMES)}")
+
+
+def _check_list(key, value, what, check_item, stem):
+    """Raise ValueError unless value is a non-empty list, tuple or 1-D array
+    of what whose items pass check_item(item) and print as distinct
+    stem(item), the text that output file names carry."""
+    if not (isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)):
+        raise ValueError(f"{key} must be a list of {what}, got {value!r}")
+    if len(value) == 0:
+        raise ValueError(f"{key} must list at least one item")
+    stems = {}
+    for item in value:
+        check_item(item)
+        text = stem(item)
+        if text in stems:
+            raise ValueError(f"{key} lists {stems[text]!r} and {item!r}, which would "
+                             f"write the same files (both print as {text})")
+        stems[text] = item
 
 
 def _check_field(key, value):
     """Raise ValueError when value is out of range for the ExperimentConfig
-    field key; the dataclass checks every field with it, and the parser every
-    key of [experiment] on its line."""
+    field key.  This is every rule of the sweep's fields but the knobs'
+    (check_knob): the dataclass checks each field with it, and a config
+    file's line and a sweep flag reach it after their parser converts the
+    text."""
     if key == "geometry" and not isinstance(value, TomoGeometry):
         raise ValueError(f"geometry must be a TomoGeometry, got {value!r}")
     if key == "solvers":
-        if np.ndim(value) != 1:
-            raise ValueError(f"solvers must be a list of solver names, got {value!r}")
-        if not value:
-            raise ValueError("solvers must list at least one solver")
-        for name in value:
-            _check_solver_name(name)
-        if len(set(value)) < len(value):
-            raise ValueError("solvers lists a solver twice, whose runs would write the same files")
+        _check_list(key, value, "solver names", _check_solver_name, str)
     if key == "noise_levels":
-        if np.ndim(value) != 1:
-            raise ValueError(f"noise_levels must be a list of numbers, got {value!r}")
-        stems = {}
-        for level in value:
-            check_number("noise_levels", level, 0)
-            stem = f"{level:g}"  # how output file names carry the level
-            if stem in stems:
-                raise ValueError(f"noise_levels lists {stems[stem]!r} and {level!r}, which would "
-                                 f"write the same files (both print as {stem})")
-            stems[stem] = level
+        _check_list(key, value, "numbers", partial(check_number, key, floor=0), "{:g}".format)
     if key in ("repetitions", "seed"):
         check_number(key, value, 0, integer=True)
     if key == "out" and (not isinstance(value, (str, os.PathLike)) or value == ""):
@@ -118,9 +114,7 @@ def _check_field(key, value):
         for name, knobs in value.items():
             _check_solver_name(name)
             for knob, knob_value in knobs.items():
-                if knob not in SOLVER_KNOBS:
-                    raise ValueError(f"unknown solver knob '{knob}' for {name}")
-                _check_solver_knob(name, knob, knob_value)
+                check_knob(knob, knob_value, name)
 
 
 @dataclass
@@ -153,10 +147,7 @@ def _parse(parse, text, key):
 
 
 def _parse_str_list(text, key):
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError(f"{key} must list at least one item")
-    return items
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _parse_float_list(text, key):
@@ -196,7 +187,7 @@ def _section_schema(section):
     if section.startswith("solver."):
         name = section[len("solver."):]
         _check_solver_name(name)
-        return _SOLVER_KEYS, partial(_check_solver_knob, name)
+        return _SOLVER_KEYS, partial(check_knob, method=name)
     raise ValueError(f"unknown section [{section}]")
 
 
@@ -326,6 +317,8 @@ def build_instances(config: ExperimentConfig):
     A = build_parallel_tomo(config.geometry)
     x_true = shepp_logan(config.geometry.m)
     y = A.matvec(x_true)
+    if not y.any():  # auto alpha would be 0 in every cell
+        raise ValueError(f"every ray of {config.geometry} misses the phantom (A x_true = 0)")
     instances = {}
     for li, level in enumerate(config.noise_levels):
         for rep in range(config.repetitions):

@@ -459,8 +459,7 @@ def run_newton(p: ProblemData, cfg: SolverConfig, delta: float, *,
     cfg = cfg.for_method("newton")
     A, y = p.A, p.y_delta
     spec = _transform_spec(cfg, delta, y)
-    if spec.epsilon <= 0.0:
-        raise ValueError("run_newton requires epsilon > 0; use run_gradient_descent for J")
+    check_knob("epsilon", spec.epsilon, "newton")
     radius = None  # Delta, set on the first step
 
     def step(n, it):
@@ -536,8 +535,16 @@ SOLVER_KNOBS = {
 }
 
 
-def check_knob(key: str, value) -> None:
-    """Raise ValueError unless SOLVER_KNOBS[key]'s row takes value."""
+def check_knob(key: str, value, method: Optional[str] = None) -> None:
+    """Raise ValueError unless key is a knob of SOLVER_KNOBS whose row takes
+    value, and, for method newton, epsilon is not 0: Newton needs the C^2
+    smoothing of the substitution.  The one statement of the knob rules, for
+    SolverConfig (method None), config files, sweeps built in code and
+    run_newton's resolved epsilon."""
+    if key not in SOLVER_KNOBS:
+        raise ValueError(f"unknown solver knob '{key}' for {method}")
     parse, floor, floor_allowed, _ = SOLVER_KNOBS[key]
     if not (parse is _float_or_auto and value == "auto"):
         check_number(key, value, floor, floor_allowed, integer=parse is int)
+    if method == "newton" and key == "epsilon" and value == 0:
+        raise ValueError("epsilon must be > 0 for newton")

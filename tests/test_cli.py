@@ -189,6 +189,18 @@ def test_a_problem_over_the_size_limits_is_refused_in_one_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_geometry_whose_rays_all_miss_the_phantom_is_refused_in_one_line(tmp_path, capsys):
+    path = tmp_path / "miss.cfg"
+    path.write_text("[geometry]\nm = 4\nn_angles = 2\nn_beams = 2\nspacing = 100\n\n"
+                    "[experiment]\nsolvers = ista\n")
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == ["config error: every ray of TomoGeometry(m=4, n_angles=2, n_beams=2, "
+                   "spacing=100.0) misses the phantom (A x_true = 0)"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", "x"])
 def test_verify_refuses_a_bad_seed_in_one_line(capsys, seed):
     code = main(["verify", "--seed", seed])

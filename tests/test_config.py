@@ -1,5 +1,6 @@
 """Experiment file parsing and validation diagnostics."""
 
+import re
 import textwrap
 
 import pytest
@@ -13,9 +14,11 @@ from sparsenewton import (
     SolverConfig,
     SparseMatrix,
     TomoGeometry,
+    experiment,
     parse_config,
 )
-from sparsenewton.solvers import SOLVER_KNOBS
+from sparsenewton.experiment import parse_experiment_value
+from sparsenewton.solvers import SOLVER_KNOBS, run_newton
 
 MINIMAL = """\
 [geometry]
@@ -165,7 +168,8 @@ def test_empty_solver_list(tmp_path):
 
 def test_repeated_solver_is_rejected(tmp_path):
     bad = MINIMAL.replace("ista, newton", "fista, fista")
-    with pytest.raises(ConfigError, match=r"line 7: solvers lists a solver twice"):
+    message = r"line 7: solvers lists 'fista' and 'fista', which would write the same files"
+    with pytest.raises(ConfigError, match=message):
         parse_config(write(tmp_path, bad))
 
 
@@ -203,32 +207,70 @@ def rejection(make):
     return None
 
 
+def unread(parse, text):
+    """parse(text), or text itself when parse cannot read it."""
+    try:
+        return parse(text)
+    except ValueError:
+        return text
+
+
 @pytest.mark.parametrize("key", SOLVER_KNOBS)
 def test_solver_file_lines_pass_exactly_what_code_passes(tmp_path, key):
-    """A [solver.gd] line parses exactly when the value it parses to passes
-    SolverConfig (alpha: is "auto" or passes ProblemData), with the message
-    an ExperimentConfig built in code gives.  A text the key's parser cannot
-    read goes to the code paths as the string itself."""
+    """A [solver.gd] or [solver.newton] line parses exactly when the value it
+    parses to passes the method's run (alpha: is "auto" or passes
+    ProblemData; gd: SolverConfig; newton: run_newton, which also refuses
+    epsilon = 0), with the message an ExperimentConfig built in code gives.
+    A text the key's parser cannot read goes to the code paths as the string
+    itself."""
     parse = SOLVER_KNOBS[key][0]
     problem = (SparseMatrix(1, 1, [0, 1], [0], [1.0]), [1.0])
-    for text in ("0", "1", "1.0000001", "-1", "nan", "inf", "auto", "2.5", "x"):
-        try:
-            value = parse(text)
-        except ValueError:
-            value = text
-        path = write(tmp_path, MINIMAL + f"[solver.gd]\n{key} = {text}\n")
+    for name in ("gd", "newton"):
+        for text in ("0", "1", "1.0000001", "-1", "nan", "inf", "auto", "2.5", "x"):
+            value = unread(parse, text)
+            path = write(tmp_path, MINIMAL + f"[solver.{name}]\n{key} = {text}\n")
+            in_file = rejection(lambda: parse_config(path))
+            if in_file is not None:
+                assert in_file.startswith("line 9: ")
+                in_file = in_file[len("line 9: "):]
+            in_code = rejection(lambda: ExperimentConfig(
+                TomoGeometry(32, 60, 45), [name], solver_overrides={name: {key: value}}))
+            assert in_file == in_code, (name, text)
+            if key == "alpha":
+                accepted = (value == "auto"
+                            or rejection(lambda: ProblemData(*problem, value)) is None)
+                assert (in_file is None) == accepted, (name, text)
+            elif name == "gd":
+                assert in_file == rejection(lambda: SolverConfig(**{key: value})), text
+            else:
+                assert in_file == rejection(lambda: run_newton(
+                    ProblemData(*problem, 1.0), SolverConfig(**{key: value}), 0.0)), text
+
+
+@pytest.mark.parametrize("key", ["solvers", "noise_levels", "repetitions", "seed", "out", "timing"])
+def test_experiment_file_lines_pass_exactly_what_flags_and_code_pass(tmp_path, key):
+    """An [experiment] line, the sweep flag of its key (parse_experiment_value)
+    and an ExperimentConfig built in code refuse the same texts with the same
+    message, and the line and the flag give the same value.  Code gets the
+    text as a value, or for a list key the list of its comma-separated parts,
+    each converted where it can be and the string itself where not."""
+    convert = {"noise_levels": float, "repetitions": int, "seed": int}.get(key, str)
+    base = MINIMAL.replace("solvers = ista, newton\n", "") if key == "solvers" else MINIMAL
+    for text in ("", ",", "0", "2.5", "-1", "x", "ista", "ista, ista", "newton, lm",
+                 "0.1, 0.1000000001", "0.1, 0.2", "wall", "off"):
+        path = write(tmp_path, base + f"{key} = {text}\n")
         in_file = rejection(lambda: parse_config(path))
         if in_file is not None:
-            assert in_file.startswith("line 9: ")
-            in_file = in_file[len("line 9: "):]
-        in_code = rejection(lambda: ExperimentConfig(
-            TomoGeometry(32, 60, 45), ["gd"], solver_overrides={"gd": {key: value}}))
-        assert in_file == in_code, text
-        if key == "alpha":
-            accepted = value == "auto" or rejection(lambda: ProblemData(*problem, value)) is None
-            assert (in_file is None) == accepted, text
+            in_file = re.sub(r"^line \d+: ", "", in_file)
+        assert in_file == rejection(lambda: parse_experiment_value(key, text)), text
+        if key in ("solvers", "noise_levels"):
+            value = [unread(convert, part) for part in experiment._parse_str_list(text, key)]
         else:
-            assert in_file == rejection(lambda: SolverConfig(**{key: value})), text
+            value = unread(convert, text)
+        fields = {"geometry": TomoGeometry(32, 60, 45), "solvers": ["ista"], key: value}
+        assert in_file == rejection(lambda: ExperimentConfig(**fields)), text
+        if in_file is None:
+            assert getattr(parse_config(path), key) == parse_experiment_value(key, text) == value
 
 
 def test_missing_file_raises_os_error(tmp_path):

@@ -234,8 +234,8 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("changes,message", [
-    ({"solvers": ["fista", "fista"]}, "solvers lists a solver twice"),
-    ({"solvers": []}, "solvers must list at least one solver"),
+    ({"solvers": ["fista", "fista"]}, "solvers lists 'fista' and 'fista', which would write"),
+    ({"solvers": []}, "solvers must list at least one item"),
     ({"solvers": ["bfgs"]}, "unknown solver 'bfgs'"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
@@ -261,12 +261,27 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
      r"solver_overrides must map solvers to dicts of knobs, got \[\('lm', \{\}\)\]"),
     ({"solver_overrides": {"lm": None}},
      r"solver_overrides must map solvers to dicts of knobs, got \{'lm': None\}"),
+    ({"noise_levels": []}, "noise_levels must list at least one item"),
+    ({"solvers": ["ista", ["lm"]]}, r"unknown solver '\['lm'\]'"),
+    ({"noise_levels": [0.1, [0.2]]}, r"noise_levels must be a number, got \[0.2\]"),
 ])
 def test_config_built_in_code_checks_every_field(tmp_path, changes, message):
     fields = {"geometry": GEOM, "solvers": ["ista"], "out": str(tmp_path / "out"), **changes}
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**fields)
     assert not (tmp_path / "out").exists()
+
+
+def test_an_array_of_solvers_runs_as_the_list(tmp_path):
+    def sweep(solvers, out):
+        return run_experiment(ExperimentConfig(GEOM, solvers, [0.1], 1, 0, str(tmp_path / out),
+                                               "off"))
+
+    rows = sweep(np.array(["ista", "lm"]), "array")
+    assert rows == sweep(["ista", "lm"], "list")
+    assert [row.split(",")[0] for row in rows] == ["ista", "lm"]
+    assert sorted(p.name for p in (tmp_path / "array").iterdir()) == sorted(
+        p.name for p in (tmp_path / "list").iterdir())
 
 
 SHARED = ExperimentConfig(TomoGeometry(16, 24, 20), ["gd", "lm", "newton"], [0.05, 0.1], 1, 0,

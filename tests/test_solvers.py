@@ -337,8 +337,11 @@ def test_newton_zero_gradient_returns_start():
 
 def test_newton_requires_positive_epsilon():
     p = ProblemData(ONE_BY_ONE, np.ones(1), 1.0)
-    with pytest.raises(ValueError, match="epsilon > 0"):
+    with pytest.raises(ValueError, match="epsilon must be > 0 for newton"):
         run_newton(p, SolverConfig(epsilon=0.0), 0.0)
+    silent = ProblemData(ONE_BY_ONE, np.zeros(1), 1.0)  # "auto" at delta = 0 is 1e-8 ||y|| = 0
+    with pytest.raises(ValueError, match="epsilon must be > 0 for newton"):
+        run_newton(silent, SolverConfig(), 0.0)
 
 
 def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch):
