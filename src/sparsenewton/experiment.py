@@ -323,6 +323,9 @@ def build_instances(config: ExperimentConfig):
     for li, level in enumerate(config.noise_levels):
         for rep in range(config.repetitions):
             y_delta, delta = add_noise(y, level, noise_seed_for(config.seed, li, rep))
+            with np.errstate(over="ignore"):  # every run starts from ||y_delta||^2 or near it
+                if not np.isfinite(y_delta @ y_delta):
+                    raise ValueError(f"noise level {level:g} overflows: ||y_delta||^2 is infinite")
             instances[(li, rep)] = ProblemInstance(A, x_true, y_delta, delta)
     return instances
 

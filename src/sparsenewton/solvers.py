@@ -14,8 +14,9 @@ and owns what they share:
   do not converge and trust-region steps that no trial radius could take);
 * traces carry one row per iterate, starting with the initial point, and the
   TransformSpec the run iterated with (None on the original variable);
-* steps run with numpy's overflow and invalid-value warnings off, and an
-  iterate whose functional value is no longer finite raises DivergenceError.
+* every row, the initial point included, is evaluated with numpy's overflow
+  and invalid-value warnings off, and a row whose functional value is not
+  finite raises DivergenceError.
 
 Note on constants: the ISTA/FISTA update is
 x_{k+1} = S_{alpha omega}(x_k - omega A^T(A x_k - y)), whose fixed points
@@ -215,19 +216,25 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     move (stop reason "stagnation").  spec is None on the original variable
     and the transform on the substituted one.  Each row is evaluated once.
     Wall times count from before the initial point, so row 0's includes the
-    warm start.  The steps, and the callback on their rows, run with numpy's
-    overflow and invalid-value warnings off: an overflow gives inf or nan,
-    GD's search rejects a trial that has one, and a step whose functional
-    value is not finite ends the run with DivergenceError.
+    warm start.  Every row, the initial point included, is evaluated and
+    recorded with numpy's overflow and invalid-value warnings off: an
+    overflow gives inf or nan, GD's search rejects a trial that has one, and
+    a row whose functional value is not finite ends the run with
+    DivergenceError.
     """
     check_number("delta", delta, 0)
     y = p.y_delta
     t0 = timer()
-    point = _evaluate(p, spec, _initial_point(p, cfg, delta, transformed=spec is not None))
     x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
     trace = IterationTrace(spec=spec)
 
     def record(n, point):  # appends row n; True when point meets the discrepancy stop
+        if not math.isfinite(point.f):  # alpha > 0: f is finite only if x and A x are
+            what = f"iterate {n}" if n > 0 else "the initial point"
+            # omega is the step of ISTA and FISTA (spec None), and row 0 took no step
+            advice = "; reduce omega" if spec is None and n > 0 else ""
+            raise DivergenceError(f"divergence: the functional value of {what} is not finite"
+                                  + advice)
         residual = float(np.linalg.norm(point.Fx - y))
         if x_true is None:
             rel = float("nan")
@@ -243,22 +250,19 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
             callback(n, point.x)
         return check_discrepancy(residual, cfg.tau, delta)
 
-    met = record(0, point)
-    if not met and spec is not None and spec.epsilon == 0.0 and not point.x.any():
-        raise ValueError("no step leaves x = 0 at epsilon = 0, where the Jacobian 2|x| "
-                         "vanishes; use warm_start > 0, a nonzero x0 or epsilon > 0")
-    reason = STOP_DISCREPANCY if met else STOP_MAX_ITER
-    flat = 0  # consecutive rows with relative functional change < STAGNATION_RTOL
     with np.errstate(over="ignore", invalid="ignore"):
+        point = _evaluate(p, spec, _initial_point(p, cfg, delta, transformed=spec is not None))
+        met = record(0, point)
+        if not met and spec is not None and spec.epsilon == 0.0 and not point.x.any():
+            raise ValueError("no step leaves x = 0 at epsilon = 0, where the Jacobian 2|x| "
+                             "vanishes; use warm_start > 0, a nonzero x0 or epsilon > 0")
+        reason = STOP_DISCREPANCY if met else STOP_MAX_ITER
+        flat = 0  # consecutive rows with relative functional change < STAGNATION_RTOL
         for n in range(0 if met else cfg.max_iter):
             nxt = step(n, point)
             if nxt is None:
                 reason = STOP_STAGNATION
                 break
-            if not math.isfinite(nxt.f):  # alpha > 0: f is finite only if x and A x are
-                advice = "; reduce omega" if spec is None else ""  # omega is ISTA's and FISTA's
-                raise DivergenceError(f"divergence: the functional value of iterate {n + 1} "
-                                      f"is not finite{advice}")
             prev_f, point = point.f, nxt
             if record(n + 1, point):
                 reason = STOP_DISCREPANCY

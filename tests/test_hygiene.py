@@ -1,7 +1,8 @@
-"""Source hygiene: every import in the package is used and none takes a
-private name of another module, the README matches the knobs, config format
-and subcommands it documents, the benchmark's tracer still finds every name
-it wraps, and the sweep digest and code line tools work."""
+"""Source hygiene: every import in the package and its tests is used, no
+module takes a private name of another, each test file is named for the
+module it tests, the README matches the knobs, config format and subcommands
+it documents, the benchmark's tracer still finds every name it wraps, and the
+sweep digest and code line tools work."""
 
 import argparse
 import ast
@@ -19,6 +20,7 @@ from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sparsenewton"
+TESTS = ROOT / "tests"
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -41,9 +43,19 @@ def test_unused_import_check_finds_a_leftover():
     assert unused_imports(source) == ["Path"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_import_is_used(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", [*(PACKAGE / m for m in MODULES), *sorted(TESTS.glob("*.py"))],
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_each_test_file_is_named_for_a_module():
+    """A module's tests live in tests/test_<module>.py; the acceptance battery,
+    these hygiene checks and test_config.py are the only other test files.
+    test_config.py holds the tests of the experiment-file format that
+    experiment.py parses, kept apart so that its 62 test ids keep their names."""
+    names = {p.stem.removeprefix("test_") for p in TESTS.glob("test_*.py")}
+    assert names - {Path(m).stem for m in MODULES} <= {"acceptance", "config", "hygiene"}
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -1,10 +1,16 @@
-"""Sparse matrix products, adjoint consistency and the CG inner solver."""
+"""Sparse matrix products, adjoint consistency, the norm estimate and the CG
+inner solver, with property tests of the adjoint identity, the norm estimate
+behind omega = "auto", CG on random SPD operators and CG in a trust region
+on random symmetric ones."""
 
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparsenewton import (
     CurvatureError,
@@ -15,6 +21,10 @@ from sparsenewton import (
     cg_solve,
 )
 from sparsenewton.linalg import check_number
+
+
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
+entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 def random_sparse(rng, rows, cols, density=0.4):
@@ -146,6 +156,55 @@ def test_adjoint_consistency():
         assert gap <= bound + 1e-300
 
 
+@st.composite
+def sparse_matrices(draw, max_side=8):
+    """A SparseMatrix built from CSR arrays (unsorted and repeated column
+    indices included), together with its dense equivalent."""
+    n_rows = draw(st.integers(1, max_side))
+    n_cols = draw(st.integers(1, max_side))
+    counts = draw(st.lists(st.integers(0, 2 * n_cols), min_size=n_rows, max_size=n_rows))
+    nnz = sum(counts)
+    cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=nnz, max_size=nnz))
+    values = draw(st.lists(entries, min_size=nnz, max_size=nnz))
+    A = SparseMatrix(n_rows, n_cols, np.concatenate([[0], np.cumsum(counts)]), cols, values)
+    dense = np.zeros((n_rows, n_cols))
+    rows = np.repeat(np.arange(n_rows), counts)
+    np.add.at(dense, (rows, np.asarray(cols, dtype=int)), values)
+    return A, dense
+
+
+def assert_adjoint_identity(A, x, y):
+    gap = abs(A.matvec(x) @ y - x @ A.transpose_matvec(y))
+    # rounding of the sums the two products form, each bounded by |y|^T M |x|
+    # with M summing the absolute stored entries of each cell: stored entries
+    # that share a cell can cancel in the dense matrix, not in those sums
+    magnitudes = np.zeros((A.n_rows, A.n_cols))
+    rows = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
+    np.add.at(magnitudes, (rows, A.col_indices), np.abs(A.values))
+    scale = np.abs(y) @ magnitudes @ np.abs(x)
+    assert gap <= 1e-13 * scale + 1e-300
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_products_satisfy_the_adjoint_identity(data):
+    A, dense = data.draw(sparse_matrices())
+    x = data.draw(arrays(np.float64, A.n_cols, elements=entries))
+    y = data.draw(arrays(np.float64, A.n_rows, elements=entries))
+    np.testing.assert_allclose(A.matvec(x), dense @ x, rtol=1e-12, atol=1e-10)
+    assert_adjoint_identity(A, x, y)
+
+
+def test_the_adjoint_identity_holds_where_stored_entries_cancel():
+    # row 0 stores 1 and -1 in column 0, so the dense matrix is [[0, 1], [0, 0]]
+    # and bounds the rounding by 4.65e-58; but A x rounds the tiny x[1] away
+    # against 1, while A^T y sums column 0 to exactly 0 and keeps it
+    A = SparseMatrix(2, 2, [0, 3, 3], [0, 1, 0], [1.0, 1.0, -1.0])
+    x, y = np.array([1.0, 4.65e-45]), np.array([1.0, 1.0])
+    assert abs(A.matvec(x) @ y - x @ A.transpose_matvec(y)) > 1e-13 * 4.65e-45
+    assert_adjoint_identity(A, x, y)
+
+
 def test_norm2_estimate_against_svd():
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -157,6 +216,17 @@ def test_norm2_estimate_against_svd():
         assert est <= exact * (1 + 1e-12)
         assert est >= exact * (1 - 1e-3)
         assert A.norm2_estimate() == est  # cached
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_norm_estimate_stays_below_the_norm_and_its_one_inf_bound(data):
+    A, dense = data.draw(sparse_matrices())
+    estimate = A.norm2_estimate()
+    one_inf = np.sqrt(np.abs(dense).sum(axis=0).max() * np.abs(dense).sum(axis=1).max())
+    # power iteration approaches ||A||_2 from below, and ||A||_2 <= sqrt(||A||_1 ||A||_inf)
+    assert estimate <= np.linalg.norm(dense, 2) * (1 + 1e-12) + 1e-300
+    assert estimate <= one_inf * (1 + 1e-12) + 1e-300
 
 
 def power_method_100(A):
@@ -172,21 +242,14 @@ def power_method_100(A):
     return float(np.sqrt(sigma2))
 
 
-def test_norm2_estimate_stops_at_its_fixed_point(monkeypatch):
-    applications = []  # each application of A^T A is one A and one A^T product
-    matvec = SparseMatrix.matvec
-
-    def counted_matvec(A, x):
-        applications.append(x)
-        return matvec(A, x)
-
-    monkeypatch.setattr(SparseMatrix, "matvec", counted_matvec)
+def test_norm2_estimate_stops_at_its_fixed_point(product_log):
+    log = product_log()
     for geom in (TomoGeometry(16, 24, 20), TomoGeometry(32, 60, 45)):
         A = build_parallel_tomo(geom)
         reference = power_method_100(A)
-        applications.clear()
+        before = log.products
         assert A.norm2_estimate() == reference  # bit for bit
-    assert 2 * len(applications) <= 32  # at m=32, from the all-ones start
+    assert log.products - before <= 32  # at m=32, from the all-ones start
     assert SparseMatrix.from_dense(np.zeros((3, 2))).norm2_estimate() == 0.0
 
 
@@ -403,6 +466,59 @@ def test_cg_boundary_model_stays_finite_at_a_huge_radius():
                       radius=1e153)
     assert result.on_boundary
     assert np.isfinite(result.model) and result.model == pytest.approx(-2.17e289, rel=1e-3)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       condition=st.floats(1.0, 1e4), tol=st.sampled_from([1e-2, 1e-6, 1e-10]))
+def test_cg_reaches_tol_on_random_spd_operators(n, seed, condition, tol):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigenvalues = np.geomspace(1.0, condition, n)
+    H = (q * eigenvalues) @ q.T
+    b = rng.standard_normal(n)
+    result = cg_solve(lambda v: H @ v, b, tol=tol)
+    assert result.converged
+    assert result.iterations <= 2 * n
+    # the recurrence residual CG stops on tracks the true one to rounding
+    residual = np.linalg.norm(H @ result.x - b)
+    assert residual <= tol * np.linalg.norm(b) + 1e-12 * condition * np.linalg.norm(b)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       condition=st.floats(1.0, 1e4))
+def test_cg_lowers_the_model_at_every_iteration(n, seed, condition):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (q * np.geomspace(1.0, condition, n)) @ q.T
+    b = rng.standard_normal(n)
+    models = [0.0]  # q(0)
+    for k in range(1, 2 * n + 1):
+        result = cg_solve(lambda v: H @ v, b, tol=1e-10, max_iter=k)
+        if result.iterations < k:
+            break  # converged in fewer than k iterations
+        assert result.model == pytest.approx(0.5 * result.x @ H @ result.x - b @ result.x,
+                                             rel=1e-8, abs=1e-12)
+        models.append(result.model)
+    # once the residual is near rounding, a step may lower q by less than an ulp
+    assert models[1] < models[0]
+    assert all(later <= earlier for earlier, later in zip(models, models[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), lowest=st.floats(-1.0, 1.0),
+       radius=st.floats(1e-3, 1e3))
+def test_cg_in_a_ball_stays_in_it_and_lowers_the_model(n, seed, lowest, radius):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (q * np.linspace(lowest, 2.0, n)) @ q.T  # indefinite when lowest < 0
+    b = rng.standard_normal(n)
+    result = cg_solve(lambda v: H @ v, b, tol=1e-8, radius=radius)
+    assert np.linalg.norm(result.x) <= radius * (1 + 1e-12)
+    assert result.model < 0.0
+    direct = 0.5 * result.x @ H @ result.x - b @ result.x
+    assert abs(result.model - direct) <= 1e-9 * (abs(direct) + radius * np.linalg.norm(b))
 
 
 def test_check_number_takes_no_bool_and_holds_its_floor():
