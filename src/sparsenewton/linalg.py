@@ -51,13 +51,14 @@ def check_number(name: str, value, floor, floor_allowed: bool = True, *,
                  integer: bool = False) -> None:
     """Raise ValueError naming name unless value is a number above floor, or
     at it when floor_allowed: an integer (numbers.Integral) when integer,
-    otherwise a finite real.  A bool is never a number."""
+    otherwise a finite real.  A bool is never a number, and a negative zero
+    is below a floor of 0."""
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     if not integer and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if floor_allowed and value < floor:
+    if floor_allowed and (value < floor or value == floor == 0 and math.copysign(1, value) < 0):
         raise ValueError(f"{name} must be >= {floor}, got {value!r}")
     if not floor_allowed and value <= floor:
         raise ValueError(f"{name} must exceed {floor}, got {value!r}")

@@ -33,3 +33,21 @@ class ProductLog:
 def product_log(monkeypatch):
     """product_log() installs a ProductLog, which counts until the test ends."""
     return lambda: ProductLog(monkeypatch)
+
+
+@pytest.fixture
+def call_log(monkeypatch):
+    """call_log(owner, "attr") wraps owner.attr until the test ends and
+    returns a list that gets (args, kwargs, result) for each call it passes
+    through."""
+    def install(owner, attr):
+        calls, fn = [], getattr(owner, attr)
+
+        def recorded(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(owner, attr, recorded)
+        return calls
+    return install

@@ -64,18 +64,11 @@ def test_sweep_full_grid(tmp_path, config_path, capsys):
     assert (out / "summary.csv").exists()
 
 
-def test_a_newton_only_sweep_computes_its_own_warm_start(tmp_path, monkeypatch, capsys):
+def test_a_newton_only_sweep_computes_its_own_warm_start(tmp_path, call_log, capsys):
     # in the full sweep gd's cell computes each warm start and newton's reuses it
     path = tmp_path / "second_order.cfg"
     path.write_text(CONFIG.replace("ista, lm", "gd, lm, newton"))
-    calls = []
-    fista = solvers.run_fista
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].alpha)
-        return fista(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "run_fista", counted)
+    calls = call_log(solvers, "run_fista")
     for run, flags in (("full", []), ("newton", ["--solver", "newton"])):
         calls.clear()
         code = main(["sweep", "--config", str(path), "--timing", "off",
@@ -109,11 +102,15 @@ def test_missing_config_exits_two(tmp_path, capsys):
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text(CONFIG + "pixels = 9\n")
-    code = main(["sweep", "--config", str(path)])
-    assert code == 2
-    assert "config error:" in capsys.readouterr().err
+    path, out = tmp_path / "bad.cfg", tmp_path / "out"
+    for tail, message in (("pixels = 9\n", "line 9: unknown key 'pixels' in section [experiment]"),
+                          ("\n[solver.newton]\nepsilon = 0\n",
+                           "line 11: epsilon must be > 0 for newton")):
+        path.write_text(CONFIG + tail)
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flags,message", [
@@ -126,6 +123,8 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     ("sweep", ["--seed", "abc"], "seed must be an integer, got 'abc'"),
     ("sweep", ["--noise", "abc"], "noise_levels must be a number, got 'abc'"),
     ("sweep", ["--noise", "1e200"], "noise level 1e+200 overflows: ||y_delta||^2 is infinite"),
+    ("sweep", ["--noise", ","], "noise_levels must list at least one item"),
+    ("sweep", ["--noise", "0, -0"], "noise_levels must be >= 0, got -0.0"),
 ])
 def test_flags_are_checked_like_the_file(tmp_path, config_path, capsys, command, flags, message):
     out = tmp_path / "out"

@@ -261,36 +261,14 @@ SHARED = ExperimentConfig(TomoGeometry(16, 24, 20), ["gd", "lm", "newton"], [0.0
                           "unused", "off")
 
 
-def count_warm_starts(monkeypatch):
-    """Patches solvers.run_fista, which only _initial_point calls; returns
-    the list that gets one entry per call."""
-    calls = []
-    fista = solvers.run_fista
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fista(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "run_fista", counted)
-    return calls
-
-
-def test_a_sweep_computes_each_instance_warm_start_once(tmp_path, monkeypatch):
-    calls = count_warm_starts(monkeypatch)
-    cells = []
-    run = experiment.run_solver
-
-    def recorded(name, p, cfg, delta, **kwargs):
-        x, trace = run(name, p, cfg, delta, **kwargs)
-        cells.append((name, p, cfg, delta, x))
-        return x, trace
-
-    monkeypatch.setattr(experiment, "run_solver", recorded)
+def test_a_sweep_computes_each_instance_warm_start_once(tmp_path, call_log):
+    calls = call_log(solvers, "run_fista")  # only _initial_point calls run_fista
+    cells = call_log(experiment, "run_solver")
     rows = run_experiment(dataclasses.replace(SHARED, out=str(tmp_path)))
     assert len(rows) == 6 and not any(",error," in row for row in rows)
     assert len(calls) == 2  # gd's cell on each instance; lm and newton reuse it
     # each cell ends where a single run, which computes its own warm start, ends
-    for name, p, cfg, delta, x in cells:
+    for (name, p, cfg, delta), _, (x, _) in cells:
         single, _ = RUNNERS[name](ProblemData(p.A, p.y_delta, p.alpha), cfg, delta)
         np.testing.assert_array_equal(x, single)
     assert len(calls) == 2 + len(cells)
@@ -298,11 +276,11 @@ def test_a_sweep_computes_each_instance_warm_start_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("knob,shared", [("omega", False), ("tau", False),
                                          ("inner_tol", True)])  # FISTA does not read inner_tol
-def test_a_warm_start_is_shared_only_at_equal_inputs(tmp_path, monkeypatch, knob, shared):
+def test_a_warm_start_is_shared_only_at_equal_inputs(tmp_path, call_log, knob, shared):
     value = {"tau": 1.2, "inner_tol": 1e-3}.get(knob)
     if knob == "omega":  # half the "auto" step, so FISTA still converges
         value = 0.45 / build_parallel_tomo(SHARED.geometry).norm2_estimate() ** 2
-    calls = count_warm_starts(monkeypatch)
+    calls = call_log(solvers, "run_fista")
     cfg = dataclasses.replace(SHARED, out=str(tmp_path), solver_overrides={"lm": {knob: value}})
     rows = run_experiment(cfg)
     assert not any(",error," in row for row in rows)
@@ -363,7 +341,7 @@ PINNED_WORK = {
 
 
 @pytest.mark.parametrize("workload", PINNED_WORK)
-def test_each_pinned_sweep_stays_within_its_work(workload, tmp_path, monkeypatch):
+def test_each_pinned_sweep_stays_within_its_work(workload, tmp_path, monkeypatch, call_log):
     config, bounds, (cg_solves, cg_total) = PINNED_WORK[workload]
     products = dict.fromkeys(bounds, 0)
     payers = ["setup"]  # who pays for a product: the innermost charged call
@@ -389,19 +367,11 @@ def test_each_pinned_sweep_stays_within_its_work(workload, tmp_path, monkeypatch
             return product(A, v)
 
         monkeypatch.setattr(SparseMatrix, attr, counted)
-    cg_iterations = []
-    cg = solvers.cg_solve
-
-    def counted_cg(*args, **kwargs):
-        result = cg(*args, **kwargs)
-        cg_iterations.append(result.iterations)
-        return result
-
-    monkeypatch.setattr(solvers, "cg_solve", counted_cg)
+    solves = call_log(solvers, "cg_solve")
     rows = run_experiment(dataclasses.replace(config, out=str(tmp_path)))
     cells = len(config.solvers) * len(config.noise_levels) * config.repetitions
     assert len(rows) == cells and not any(",error," in row for row in rows)
     over = {key: (count, bounds[key]) for key, count in products.items() if count > bounds[key]}
     assert not over, f"products over their bounds (count, bound): {over}"
-    assert len(cg_iterations) <= cg_solves
-    assert sum(cg_iterations) <= cg_total
+    assert len(solves) <= cg_solves
+    assert sum(result.iterations for _, _, result in solves) <= cg_total

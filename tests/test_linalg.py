@@ -536,6 +536,7 @@ def test_check_number_takes_no_bool_and_holds_its_floor():
         (float("nan"), {}, "k must be finite, got nan"),
         (-np.inf, {}, "k must be finite, got -inf"),
         (-1, {}, "k must be >= 0, got -1"),
+        (-0.0, {}, "k must be >= 0, got -0.0"),
         (0.0, {"floor_allowed": False}, "k must exceed 0, got 0.0"),
         (0, {"integer": True, "floor_allowed": False}, "k must exceed 0, got 0"),
     ):

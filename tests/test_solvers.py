@@ -223,13 +223,6 @@ def test_fista_matches_reference_recursion():
         np.testing.assert_allclose(g, w, atol=1e-13)
 
 
-def test_fista_momentum_sequence_values():
-    t1 = 0.5 * (1.0 + np.sqrt(5.0))
-    t2 = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t1 * t1))
-    assert t1 == pytest.approx(1.618033988749895, rel=1e-15)
-    assert t2 == pytest.approx(2.193527085331054, rel=1e-15)
-
-
 def test_gradient_descent_scalar_descends_to_grid_minimum():
     p = ProblemData(ONE_BY_ONE, np.array([1.0]), 0.01)
     cfg = SolverConfig(x0=np.array([0.9]), grad_tol=1e-10, max_iter=5000)
@@ -336,24 +329,19 @@ def test_newton_requires_positive_epsilon():
         run_newton(silent, SolverConfig(), 0.0)
 
 
-def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch):
-    shifts, solves = [], []
-    shift = solvers._shift
-
-    def recording_shift(n, delta):
-        shifts.append(shift(n, delta))
-        return shifts[-1]
+def test_lm_tries_the_schedule_shift_once_then_stops_with_stagnation(monkeypatch, call_log):
+    solves = []
 
     def unconverged_cg(op, b, **kwargs):
         solves.append(b)
         return CGResult(np.zeros_like(b), False, 1, 0.0, False)
 
-    monkeypatch.setattr(solvers, "_shift", recording_shift)
+    shifts = call_log(solvers, "_shift")
     monkeypatch.setattr(solvers, "cg_solve", unconverged_cg)
     delta = 0.5
     p = ProblemData(ONE_BY_ONE, np.array([4.0]), 1.0)
     _, trace = run_levenberg_marquardt(p, SolverConfig(x0=np.array([1.0])), delta)
-    assert shifts == [delta] and len(solves) == 1
+    assert [shift for _, _, shift in shifts] == [delta] and len(solves) == 1
     assert trace.stop_reason == "stagnation" and trace.n_star == 0
 
 
@@ -369,24 +357,18 @@ def test_lm_lets_a_curvature_error_of_its_inner_solve_propagate(monkeypatch):
         run_levenberg_marquardt(p, SolverConfig(x0=np.array([1.0])), 0.5)
 
 
-def test_lm_preconditions_its_cg_with_the_diagonal_of_the_normal_operator(monkeypatch):
+def test_lm_preconditions_its_cg_with_the_diagonal_of_the_normal_operator(call_log):
     # LM hands CG the system D M D u = D b with D = diag(M)^(-1/2), whose
     # operator has a unit diagonal, and which CG solves in fewer iterations
     # than M s = b
     A = build_parallel_tomo(TomoGeometry(16, 24, 20))
     y_delta, delta = add_noise(A.matvec(shepp_logan(16)), 0.01, 0)
     cfg, alpha = make_solver_config("lm", {}, delta, y_delta)
-    solves, rows = [], []
-    cg = solvers.cg_solve
-
-    def recording_cg(op, b, **kwargs):
-        solves.append((op, b, kwargs))
-        return cg(op, b, **kwargs)
-
-    monkeypatch.setattr(solvers, "cg_solve", recording_cg)
+    rows, cg = [], solvers.cg_solve
+    solves = call_log(solvers, "cg_solve")
     run_levenberg_marquardt(ProblemData(A, y_delta, alpha), replace(cfg, max_iter=1), delta,
                             callback=lambda n, x: rows.append(x))
-    (op, b, kwargs), = solves
+    ((op, b), _, _), = solves
     g, mu = gradient_diag(TransformSpec(0.0), rows[0]), solvers._shift(0, delta)
 
     def normal(w):  # M = G A^T A G + mu I at row 0

@@ -140,15 +140,9 @@ def test_turned_angles_match_a_direct_trace(m, half, n_beams, spacing):
 
 
 @pytest.mark.parametrize("n_angles,traced", [(8, 4), (2, 1), (7, 7), (1, 1)])
-def test_only_angles_below_90_degrees_are_traced(monkeypatch, n_angles, traced):
+def test_only_angles_below_90_degrees_are_traced(call_log, n_angles, traced):
     # with an odd number of angles none is another turned by 90 degrees
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return ray_cell_chords(*args)
-
-    monkeypatch.setattr(tomo, "ray_cell_chords", counted)
+    calls = call_log(tomo, "ray_cell_chords")
     build_parallel_tomo(TomoGeometry(8, n_angles, 5))
     assert len(calls) == traced
 
