@@ -261,7 +261,8 @@ def make_solver_config(name: str, overrides: dict, delta: float, y_delta):
     """
     _check_solver_name(name)
     knobs = dict(overrides)
-    alpha = resolve_auto(knobs.pop("alpha", "auto"), ALPHA_COEFF, delta, y_delta)
+    alpha = resolve_auto(knobs.pop("alpha", SOLVER_KNOBS["alpha"][3][name]), ALPHA_COEFF, delta,
+                         y_delta)
     return SolverConfig(**knobs).for_method(name), alpha
 
 

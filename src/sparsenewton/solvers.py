@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -65,40 +65,43 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by all runners; unknown to a given method = ignored by it.
+    """The runners' knobs; each is None, unset, until for_method fills it in.
 
-    The rules live in SOLVER_KNOBS: each knob's type, floor and per-method
-    defaults, which check_knob applies to every set field but x0 (checked by
-    the runners).  A knob with per-method defaults (epsilon, max_iter,
-    inner_tol, warm_start) defaults to None, unset, and for_method fills in
-    the method's default; the others default to their field literal.  So
-    SolverConfig() runs each method as a sweep cell does; inner_tol = 1e-10
-    solves LM's and Newton's inner systems almost exactly.  The
-    regularization weight is ProblemData.alpha.  epsilon "auto" resolves to
-    1e-4 * delta (see resolve_auto).  omega "auto" is 0.9 / ||A||_2^2 with
+    The rules live in SOLVER_KNOBS: each knob's type, floor and the methods
+    that read it with their defaults.  check_knob applies them to every set
+    field but x0 (checked by the runners), and for_method(name) refuses a set
+    knob that method name does not read and gives each unset knob it reads
+    name's default.  So SolverConfig() runs each method as a sweep cell does;
+    inner_tol = 1e-10 solves LM's and Newton's inner systems almost exactly.
+    The regularization weight is ProblemData.alpha.  epsilon "auto" resolves
+    to 1e-4 * delta (see resolve_auto).  omega "auto" is 0.9 / ||A||_2^2 with
     the norm estimated by power iterations run until the estimate repeats, at
     most 100.
     """
 
     epsilon: object = None
-    tau: float = 1.1
-    omega: object = "auto"
+    tau: Optional[float] = None
+    omega: object = None
     max_iter: Optional[int] = None
     inner_tol: Optional[float] = None
-    grad_tol: float = 0.0
+    grad_tol: Optional[float] = None
     x0: Optional[np.ndarray] = None
     warm_start: Optional[int] = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in SOLVER_KNOBS and not (value is None and f.default is None):
-                check_knob(f.name, value)
+        for key, value in vars(self).items():
+            if key in SOLVER_KNOBS and value is not None:
+                check_knob(key, value)
 
     def for_method(self, name: str) -> SolverConfig:
-        """This config with each unset knob at method name's default."""
-        return replace(self, **{key: methods[name] for key, (*_, methods) in SOLVER_KNOBS.items()
-                                if name in methods and getattr(self, key) is None})
+        """This config with each unset knob at method name's default; raises
+        ValueError for a set knob that name does not read (see check_knob)."""
+        knobs = {key: value for key, value in vars(self).items() if key in SOLVER_KNOBS}
+        for key, value in knobs.items():
+            if value is not None:
+                check_knob(key, value, name)
+        return replace(self, **{key: SOLVER_KNOBS[key][3][name] for key, value in knobs.items()
+                                if value is None and name in SOLVER_KNOBS[key][3]})
 
 
 @dataclass
@@ -177,7 +180,8 @@ def _initial_point(p: ProblemData, cfg: SolverConfig, delta: float,
         key = (p.alpha, delta, cfg.tau, cfg.omega, cfg.warm_start)
         xw = p.warm_starts.get(key)
         if xw is None:
-            warm_cfg = replace(cfg, warm_start=0, max_iter=cfg.warm_start, x0=None)
+            warm_cfg = SolverConfig(tau=cfg.tau, omega=cfg.omega, max_iter=cfg.warm_start,
+                                    warm_start=0)
             xw, _ = run_fista(p, warm_cfg, delta)
             xw.flags.writeable = False
             p.warm_starts[key] = xw
@@ -510,45 +514,50 @@ def _float_or_auto(text: str):
     return "auto" if text == "auto" else float(text)
 
 
-# The solver knobs: key -> (parser, floor, floor allowed, per-method defaults).
-# The parser reads a config file's value (_float_or_auto also takes "auto");
-# a value other than "auto" must be an integer (int knobs) or a finite real
-# above the floor, or at it when the floor is allowed (see check_knob).  A
-# key's default is its SolverConfig field literal only when its row has no
-# per-method defaults; otherwise the field is None and SolverConfig.for_method
-# fills in the method's default (a method with none never reads the knob).
-# alpha is no SolverConfig field: it becomes ProblemData.alpha, and unset it
-# means the sweep's "auto" weight.  The methods on the substituted variable
-# cannot move from exactly zero (the Jacobian diagonal vanishes there), so
-# they warm start from a few FISTA iterations.  LM and Newton solve their
-# inner systems loosely: over the five cells of the lownoise-m64 benchmark
-# (m=64, 1% noise, seed 0, the FISTA warm start shared as a sweep shares it)
-# the near-exact 1e-10 solves cost Newton 3.6 times (1,083 against 305) and
-# LM 17.2 times (3,803 against 221) the operator products, for a larger error
-# in Newton's case (mean 0.0499 against 0.0419) and an error 1.3% smaller in
-# LM's (0.0386 against 0.0391).
+# The solver knobs: key -> (parser, floor, floor allowed, readers), where
+# readers maps exactly the methods that read the knob to their defaults, the
+# one place a knob default is written.  The parser reads a config file's
+# value (_float_or_auto also takes "auto"); a value other than "auto" must be
+# an integer (int knobs) or a finite real above the floor, or at it when the
+# floor is allowed (see check_knob).  SolverConfig.for_method fills in the
+# defaults.  alpha is no SolverConfig field: it becomes ProblemData.alpha,
+# and unset it means the sweep's "auto" weight.  omega is read by every
+# method: by ISTA and FISTA in their steps, and by the others through the
+# FISTA warm start.  The methods on the substituted variable cannot move from
+# exactly zero (the Jacobian diagonal vanishes there), so they warm start
+# from a few FISTA iterations.  LM and Newton solve their inner systems
+# loosely: over the five cells of the lownoise-m64 benchmark (m=64, 1% noise,
+# seed 0, the FISTA warm start shared as a sweep shares it) the near-exact
+# 1e-10 solves cost Newton 3.6 times (1,083 against 305) and LM 17.2 times
+# (3,803 against 221) the operator products, for a larger error in Newton's
+# case (mean 0.0499 against 0.0419) and an error 1.3% smaller in LM's (0.0386
+# against 0.0391).  An inner_tol of 0 is refused: no CG solve reaches it, and
+# LM would stop at its warm start.
 SOLVER_KNOBS = {
-    "alpha": (_float_or_auto, 0, False, {}),
+    "alpha": (_float_or_auto, 0, False, dict.fromkeys(SOLVER_NAMES, "auto")),
     "epsilon": (_float_or_auto, 0, True, {"gd": 0.0, "lm": 0.0, "newton": "auto"}),
-    "tau": (float, 1, False, {}),
-    "omega": (_float_or_auto, 0, False, {}),
+    "tau": (float, 1, False, dict.fromkeys(SOLVER_NAMES, 1.1)),
+    "omega": (_float_or_auto, 0, False, dict.fromkeys(SOLVER_NAMES, "auto")),
     "max_iter": (int, 0, True, {"ista": 50000, "fista": 20000, "gd": 2000, "lm": 50, "newton": 50}),
-    "inner_tol": (float, 0, True, {"lm": 5e-2, "newton": 0.2}),
-    "grad_tol": (float, 0, True, {}),
+    "inner_tol": (float, 0, False, {"lm": 5e-2, "newton": 0.2}),
+    "grad_tol": (float, 0, True, {"gd": 0.0, "newton": 0.0}),
     "warm_start": (int, 0, True, {"ista": 0, "fista": 0, "gd": 5, "lm": 5, "newton": 5}),
 }
 
 
 def check_knob(key: str, value, method: Optional[str] = None) -> None:
     """Raise ValueError unless key is a knob of SOLVER_KNOBS whose row takes
-    value, and, for method newton, epsilon is not 0: Newton needs the C^2
-    smoothing of the substitution.  The one statement of the knob rules, for
-    SolverConfig (method None), config files, sweeps built in code and
-    run_newton's resolved epsilon."""
+    value and, for a method, the method reads it and, for newton, epsilon is
+    not 0: Newton needs the C^2 smoothing of the substitution.  The one
+    statement of the knob rules, for SolverConfig (method None) and its
+    for_method, config files, sweeps built in code and run_newton's resolved
+    epsilon."""
     if key not in SOLVER_KNOBS:
         raise ValueError(f"unknown solver knob '{key}' for {method}")
-    parse, floor, floor_allowed, _ = SOLVER_KNOBS[key]
+    parse, floor, floor_allowed, readers = SOLVER_KNOBS[key]
     if not (parse is _float_or_auto and value == "auto"):
         check_number(key, value, floor, floor_allowed, integer=parse is int)
+    if method is not None and method not in readers:
+        raise ValueError(f"solver knob '{key}' is not read by {method}")
     if method == "newton" and key == "epsilon" and value == 0:
         raise ValueError("epsilon must be > 0 for newton")

@@ -105,7 +105,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     path, out = tmp_path / "bad.cfg", tmp_path / "out"
     for tail, message in (("pixels = 9\n", "line 9: unknown key 'pixels' in section [experiment]"),
                           ("\n[solver.newton]\nepsilon = 0\n",
-                           "line 11: epsilon must be > 0 for newton")):
+                           "line 11: epsilon must be > 0 for newton"),
+                          ("\n[solver.fista]\nepsilon = 0.1\n",
+                           "line 11: solver knob 'epsilon' is not read by fista")):
         path.write_text(CONFIG + tail)
         code = main(["sweep", "--config", str(path), "--out", str(out)])
         assert code == 2

@@ -18,7 +18,7 @@ from sparsenewton import (
     parse_config,
 )
 from sparsenewton.experiment import parse_experiment_value
-from sparsenewton.solvers import SOLVER_KNOBS, run_newton
+from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
 MINIMAL = """\
 [geometry]
@@ -106,6 +106,7 @@ def test_config_error_is_value_error():
     ("[solver.newton]\ntau = nan\n", r"line 9: tau must be finite, got nan"),
     ("[solver.newton]\ninner_tol = nan\n", r"line 9: inner_tol must be finite, got nan"),
     ("[solver.gd]\ngrad_tol = inf\n", r"line 9: grad_tol must be finite, got inf"),
+    ("[solver.lm]\ninner_tol = 0\n", r"line 9: inner_tol must exceed 0, got 0.0"),
     ("[solver.newton]\nepsilon = nan\n", r"line 9: epsilon must be finite, got nan"),
     ("[solver.newton]\nepsilon = 0\n", r"line 9: epsilon must be > 0 for newton"),
     ("[solver.ista]\nomega = -inf\n", r"line 9: omega must be finite, got -inf"),
@@ -217,15 +218,15 @@ def unread(parse, text):
 
 @pytest.mark.parametrize("key", SOLVER_KNOBS)
 def test_solver_file_lines_pass_exactly_what_code_passes(tmp_path, key):
-    """A [solver.gd] or [solver.newton] line parses exactly when the value it
-    parses to passes the method's run (alpha: is "auto" or passes
-    ProblemData; gd: SolverConfig; newton: run_newton, which also refuses
-    epsilon = 0), with the message an ExperimentConfig built in code gives.
-    A text the key's parser cannot read goes to the code paths as the string
-    itself."""
+    """A [solver.<name>] line parses exactly when the value it parses to
+    passes for the method (alpha: is "auto" or passes ProblemData; the other
+    knobs: SolverConfig.for_method, which also refuses a knob the method does
+    not read and Newton's epsilon = 0), with the message an ExperimentConfig
+    built in code gives.  A text the key's parser cannot read goes to the
+    code paths as the string itself."""
     parse = SOLVER_KNOBS[key][0]
     problem = (SparseMatrix(1, 1, [0, 1], [0], [1.0]), [1.0])
-    for name in ("gd", "newton"):
+    for name in SOLVER_NAMES:
         for text in ("0", "1", "1.0000001", "-1", "nan", "inf", "auto", "2.5", "x"):
             value = unread(parse, text)
             path = write(tmp_path, MINIMAL + f"[solver.{name}]\n{key} = {text}\n")
@@ -240,11 +241,9 @@ def test_solver_file_lines_pass_exactly_what_code_passes(tmp_path, key):
                 accepted = (value == "auto"
                             or rejection(lambda: ProblemData(*problem, value)) is None)
                 assert (in_file is None) == accepted, (name, text)
-            elif name == "gd":
-                assert in_file == rejection(lambda: SolverConfig(**{key: value})), text
             else:
-                assert in_file == rejection(lambda: run_newton(
-                    ProblemData(*problem, 1.0), SolverConfig(**{key: value}), 0.0)), text
+                assert in_file == rejection(
+                    lambda: SolverConfig(**{key: value}).for_method(name)), (name, text)
 
 
 @pytest.mark.parametrize("key", ["solvers", "noise_levels", "repetitions", "seed", "out", "timing"])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, experiment, parse_config
+from sparsenewton import ExperimentConfig, TomoGeometry, experiment, parse_config
 from sparsenewton.cli import build_parser
 from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
@@ -77,42 +77,24 @@ def readme_block(first_word):
 
 
 def test_readme_knob_table_lists_exactly_the_solver_knobs():
+    """Each knob's row gives its range and, in the default column, exactly
+    the methods that read it with their defaults."""
     rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|", README, flags=re.M)
     assert sorted(key for key, _, _ in rows) == sorted(SOLVER_KNOBS)
     assert f"takes these {len(SOLVER_KNOBS)} keys" in README
-    common = {f.name: f.default for f in dataclasses.fields(SolverConfig)} | {"alpha": "auto"}
     for key, range_text, default_text in rows:
-        parse, floor, floor_allowed, methods = SOLVER_KNOBS[key]
+        parse, floor, floor_allowed, readers = SOLVER_KNOBS[key]
         expected = ("integer " if parse is int else "") + f"`{'>=' if floor_allowed else '>'} {floor}`"
         try:
             expected += " or `auto`" if parse("auto") == "auto" else ""
         except ValueError:
             pass
         assert range_text == expected, key
-        named = set()
+        defaults = {}
         for group in default_text.split("; "):
-            names, value = re.fullmatch(r"(?:([\w, ]+) )?`([^`]+)`", group).groups()
-            if names is None:  # the common default
-                assert parse(value) == common[key], key
-                continue
-            for name in names.split(", "):
-                assert parse(value) == methods.get(name, common[key]), (key, name)
-                named.add(name)
-        assert set(methods) <= named, key
-
-
-def test_each_solver_knob_has_one_default():
-    """A SolverConfig field is None exactly when its SOLVER_KNOBS row holds
-    per-method defaults, so no knob has a second default; for_method then
-    fills in every knob a method reads."""
-    for f in dataclasses.fields(SolverConfig):
-        if f.name in SOLVER_KNOBS:
-            assert (f.default is None) == bool(SOLVER_KNOBS[f.name][3]), f.name
-    read_by = {"max_iter": SOLVER_NAMES, "warm_start": SOLVER_NAMES,
-               "epsilon": ("gd", "lm", "newton"), "inner_tol": ("lm", "newton")}
-    for key, names in read_by.items():
-        for name in names:
-            assert getattr(SolverConfig().for_method(name), key) is not None, (key, name)
+            names, value = re.fullmatch(r"([\w, ]+) `([^`]+)`", group).groups()
+            defaults |= dict.fromkeys(names.split(", "), parse(value))
+        assert defaults == readers, key
 
 
 def test_readme_config_example_parses(tmp_path):

@@ -1,7 +1,7 @@
 """Solver runners: updates, stopping rules, traces and small closed-form oracles."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from sparsenewton import (
 )
 from sparsenewton import solvers
 from sparsenewton.experiment import build_instances, make_solver_config
-from sparsenewton.solvers import RUNNERS
+from sparsenewton.solvers import RUNNERS, SOLVER_KNOBS
 
 ONE_BY_ONE = SparseMatrix.from_dense(np.array([[1.0]]))
 
@@ -297,7 +297,7 @@ def test_levenberg_marquardt_meets_discrepancy_on_noisy_instance():
     _, trace = run_levenberg_marquardt(p, cfg, delta)
     assert trace.stop_reason == "discrepancy"
     assert trace.n_star <= 25
-    assert_trace_consistent(trace, cfg.tau, delta)
+    assert_trace_consistent(trace, cfg.for_method("lm").tau, delta)
 
 
 def test_newton_scalar_matches_grid_search():
@@ -484,7 +484,7 @@ def test_newton_cold_start_takes_the_cauchy_length_as_first_radius(monkeypatch):
     g = grad_J(p, zero, spec)
     cauchy = np.linalg.norm(g) ** 3 / (g @ hessian_operator(p, zero, spec)(g))
     assert log[1][1] == pytest.approx(cauchy, rel=1e-12)
-    assert_trace_consistent(trace, cfg.tau, delta)
+    assert_trace_consistent(trace, cfg.for_method("newton").tau, delta)
 
 
 def test_newton_stops_at_the_minimizer_once_the_predicted_decrease_is_round_off(
@@ -530,7 +530,7 @@ def test_newton_meets_discrepancy_on_noisy_instance():
     _, trace = run_newton(p, cfg, delta)
     assert trace.stop_reason == "discrepancy"
     assert trace.n_star <= 25
-    assert_trace_consistent(trace, cfg.tau, delta)
+    assert_trace_consistent(trace, cfg.for_method("newton").tau, delta)
 
 
 def test_newton_and_gd_strictly_decrease_the_functional():
@@ -554,7 +554,7 @@ def test_max_iter_reason_when_budget_too_small():
     _, trace = run_ista(p, cfg, delta)
     assert trace.stop_reason == "max_iter"
     assert trace.n_star == 2
-    assert_trace_consistent(trace, cfg.tau, delta)
+    assert_trace_consistent(trace, cfg.for_method("ista").tau, delta)
 
 
 def test_x0_of_the_wrong_length_is_an_error():
@@ -802,12 +802,39 @@ def test_solver_config_validation():
             with pytest.raises(ValueError, match=f"^{knob} must be finite, got {value!r}$"):
                 SolverConfig(**{knob: value})
     for knob, value in (("omega", "fast"), ("omega", 1j), ("epsilon", "x"), ("tau", "1.5"),
-                        ("tau", "auto"), ("grad_tol", None), ("grad_tol", [0.1]),
+                        ("tau", "auto"), ("grad_tol", [0.1]),
                         ("epsilon", False), ("tau", False), ("omega", False),
                         ("inner_tol", False), ("grad_tol", False)):
         message = f"^{knob} must be a number, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{knob: value})
+    for value in (0, 0.0):  # no CG solve reaches a tolerance of 0
+        with pytest.raises(ValueError, match=f"^inner_tol must exceed 0, got {value!r}$"):
+            SolverConfig(inner_tol=value)
+
+
+def test_each_knob_default_and_reader_comes_from_the_knob_table(product_log):
+    """Every knob field of SolverConfig is unset (None) until for_method; then
+    a method holds the table's default for each knob it reads, and its runner
+    refuses a valid value of each knob it does not read before any product."""
+    knobs = {f.name: f.default for f in fields(SolverConfig) if f.name != "x0"}
+    assert knobs == dict.fromkeys(set(SOLVER_KNOBS) - {"alpha"})  # alpha is ProblemData's
+    rng = np.random.default_rng(16)
+    p = ProblemData(SparseMatrix.from_dense(rng.standard_normal((30, 20))),
+                    rng.standard_normal(30), 0.05)
+    log = product_log()
+    for name, run in RUNNERS.items():
+        cfg = SolverConfig().for_method(name)
+        for key in knobs:
+            readers = SOLVER_KNOBS[key][3]
+            if name in readers:
+                assert getattr(cfg, key) == readers[name], (key, name)
+                continue
+            assert getattr(cfg, key) is None, (key, name)
+            valid = next(iter(readers.values()))
+            with pytest.raises(ValueError, match=f"^solver knob '{key}' is not read by {name}$"):
+                run(p, SolverConfig(**{key: valid}), 0.1)
+    assert log.products == 0 and p.warm_starts == {}
 
 
 @pytest.mark.parametrize("delta,message", [
