@@ -18,7 +18,7 @@ from sparsenewton.experiment import (
     make_solver_config,
     noise_seed_for,
 )
-from sparsenewton.solvers import RUNNERS, SOLVER_NAMES
+from sparsenewton.solvers import RUNNERS, SOLVER_KNOBS, SOLVER_NAMES
 
 GEOM = TomoGeometry(12, 6, 14)
 
@@ -35,7 +35,6 @@ def test_resolve_alpha():
 def test_make_solver_config_defaults(tmp_path):
     y = np.full(4, 2.0)
     cfg, alpha = make_solver_config("newton", {}, 1.0, y)
-    assert type(cfg) is SolverConfig and type(alpha) is float
     assert cfg.max_iter == 50
     assert cfg.warm_start == 5
     assert cfg.epsilon == "auto"
@@ -60,6 +59,20 @@ def test_make_solver_config_defaults(tmp_path):
                     "[solver.newton]\ninner_tol = 1e-10\n")
     overrides = parse_config(path).solver_overrides["newton"]
     assert make_solver_config("newton", overrides, 1.0, y)[0].inner_tol == 1e-10
+
+
+def test_knob_table_matches_solver_config():
+    # alpha is the one knob that is no SolverConfig field: it is ProblemData's,
+    # and make_solver_config resolves the table's default for it
+    fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"x0"}
+    assert fields == set(SOLVER_KNOBS) - {"alpha"}
+    y = np.full(4, 2.0)
+    for name in SOLVER_NAMES:
+        cfg, alpha = make_solver_config(name, {}, 1.0, y)
+        assert type(cfg) is SolverConfig
+        assert type(alpha) is float
+        default = {"alpha": SOLVER_KNOBS["alpha"][3][name]}
+        assert alpha == make_solver_config(name, default, 1.0, y)[1], name
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)

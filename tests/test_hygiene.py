@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsenewton import ExperimentConfig, TomoGeometry, experiment, parse_config
+from sparsenewton import ExperimentConfig, SolverConfig, TomoGeometry, experiment, parse_config
 from sparsenewton.cli import build_parser
 from sparsenewton.solvers import SOLVER_KNOBS, SOLVER_NAMES
 
@@ -95,6 +95,18 @@ def test_readme_knob_table_lists_exactly_the_solver_knobs():
             names, value = re.fullmatch(r"([\w, ]+) `([^`]+)`", group).groups()
             defaults |= dict.fromkeys(names.split(", "), parse(value))
         assert defaults == readers, key
+
+
+def test_each_solver_knob_has_one_default():
+    """A knob's default is stated once, in its SOLVER_KNOBS row: every knob
+    field of SolverConfig is None until for_method, which gives a method the
+    row's default for each knob it reads and leaves the others None."""
+    knobs = {f.name: f.default for f in dataclasses.fields(SolverConfig) if f.name in SOLVER_KNOBS}
+    assert set(knobs.values()) == {None}
+    for name in SOLVER_NAMES:
+        cfg = SolverConfig().for_method(name)
+        for key in knobs:
+            assert getattr(cfg, key) == SOLVER_KNOBS[key][3].get(name), (key, name)
 
 
 def test_readme_config_example_parses(tmp_path):
