@@ -162,30 +162,30 @@ def _shift(n: int, delta: float) -> float:
     return max(delta * SHIFT_DECAY ** n, SHIFT_FLOOR)
 
 
-def _initial_point(p: ProblemData, cfg: SolverConfig, delta: float,
-                   transformed: bool) -> np.ndarray:
-    """x0 from the config, else warm_start FISTA iterations, else zeros.
+def _initial_point(p: ProblemData, cfg: SolverConfig, delta: float) -> np.ndarray:
+    """x0 from the config, else warm_start FISTA iterations mapped through
+    apply_N_inverse (only the methods on the substituted variable read
+    warm_start), else zeros.
 
-    A warm start is kept, read-only, in p.warm_starts under every input of
-    the FISTA run besides A and y_delta: alpha, delta, tau, omega and the
-    iteration count.  A later run on the same dict with the same inputs
-    reuses it, and the point returned is always a new array.
+    The FISTA run takes FISTA's defaults but for tau and max_iter = warm_start,
+    so its step is the "auto" 0.9 / ||A||_2^2.  It is kept, read-only, in
+    p.warm_starts under every input of that run besides A and y_delta: alpha,
+    delta, tau and the iteration count.  A later run on the same dict with the
+    same inputs reuses it, and the point returned is always a new array.
     """
     if cfg.x0 is not None:
         x0 = as_vector(cfg.x0).copy()
         if x0.size != p.A.n_cols:
             raise ValueError(f"x0 has length {x0.size} but A has {p.A.n_cols} columns")
         return x0
-    if cfg.warm_start > 0:
-        key = (p.alpha, delta, cfg.tau, cfg.omega, cfg.warm_start)
+    if cfg.warm_start:
+        key = (p.alpha, delta, cfg.tau, cfg.warm_start)
         xw = p.warm_starts.get(key)
         if xw is None:
-            warm_cfg = SolverConfig(tau=cfg.tau, omega=cfg.omega, max_iter=cfg.warm_start,
-                                    warm_start=0)
-            xw, _ = run_fista(p, warm_cfg, delta)
+            xw, _ = run_fista(p, SolverConfig(tau=cfg.tau, max_iter=cfg.warm_start), delta)
             xw.flags.writeable = False
             p.warm_starts[key] = xw
-        return apply_N_inverse(xw) if transformed else xw.copy()
+        return apply_N_inverse(xw)
     return np.zeros(p.A.n_cols)
 
 
@@ -255,7 +255,7 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
         return check_discrepancy(residual, cfg.tau, delta)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        point = _evaluate(p, spec, _initial_point(p, cfg, delta, transformed=spec is not None))
+        point = _evaluate(p, spec, _initial_point(p, cfg, delta))
         met = record(0, point)
         if not met and spec is not None and spec.epsilon == 0.0 and not point.x.any():
             raise ValueError("no step leaves x = 0 at epsilon = 0, where the Jacobian 2|x| "
@@ -521,27 +521,26 @@ def _float_or_auto(text: str):
 # an integer (int knobs) or a finite real above the floor, or at it when the
 # floor is allowed (see check_knob).  SolverConfig.for_method fills in the
 # defaults.  alpha is no SolverConfig field: it becomes ProblemData.alpha,
-# and unset it means the sweep's "auto" weight.  omega is read by every
-# method: by ISTA and FISTA in their steps, and by the others through the
-# FISTA warm start.  The methods on the substituted variable cannot move from
-# exactly zero (the Jacobian diagonal vanishes there), so they warm start
-# from a few FISTA iterations.  LM and Newton solve their inner systems
-# loosely: over the five cells of the lownoise-m64 benchmark (m=64, 1% noise,
-# seed 0, the FISTA warm start shared as a sweep shares it) the near-exact
-# 1e-10 solves cost Newton 3.6 times (1,083 against 305) and LM 17.2 times
-# (3,803 against 221) the operator products, for a larger error in Newton's
-# case (mean 0.0499 against 0.0419) and an error 1.3% smaller in LM's (0.0386
-# against 0.0391).  An inner_tol of 0 is refused: no CG solve reaches it, and
-# LM would stop at its warm start.
+# and unset it means the sweep's "auto" weight.  The methods on the
+# substituted variable cannot move from exactly zero (the Jacobian diagonal
+# vanishes there), so they warm start from warm_start FISTA iterations, run at
+# FISTA's defaults but for tau and max_iter.  LM and Newton solve their inner
+# systems loosely: over the five cells of the lownoise-m64 benchmark (m=64, 1%
+# noise, seed 0, the FISTA warm start shared as a sweep shares it) the
+# near-exact 1e-10 solves cost Newton 3.6 times (1,083 against 305) and LM
+# 17.2 times (3,803 against 221) the operator products, for a larger error in
+# Newton's case (mean 0.0499 against 0.0419) and an error 1.3% smaller in LM's
+# (0.0386 against 0.0391).  An inner_tol of 0 is refused: no CG solve reaches
+# it, and LM would stop at its warm start.
 SOLVER_KNOBS = {
     "alpha": (_float_or_auto, 0, False, dict.fromkeys(SOLVER_NAMES, "auto")),
     "epsilon": (_float_or_auto, 0, True, {"gd": 0.0, "lm": 0.0, "newton": "auto"}),
     "tau": (float, 1, False, dict.fromkeys(SOLVER_NAMES, 1.1)),
-    "omega": (_float_or_auto, 0, False, dict.fromkeys(SOLVER_NAMES, "auto")),
+    "omega": (_float_or_auto, 0, False, {"ista": "auto", "fista": "auto"}),
     "max_iter": (int, 0, True, {"ista": 50000, "fista": 20000, "gd": 2000, "lm": 50, "newton": 50}),
     "inner_tol": (float, 0, False, {"lm": 5e-2, "newton": 0.2}),
     "grad_tol": (float, 0, True, {"gd": 0.0, "newton": 0.0}),
-    "warm_start": (int, 0, True, {"ista": 0, "fista": 0, "gd": 5, "lm": 5, "newton": 5}),
+    "warm_start": (int, 0, True, {"gd": 5, "lm": 5, "newton": 5}),
 }
 
 

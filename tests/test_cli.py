@@ -107,7 +107,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
                           ("\n[solver.newton]\nepsilon = 0\n",
                            "line 11: epsilon must be > 0 for newton"),
                           ("\n[solver.fista]\nepsilon = 0.1\n",
-                           "line 11: solver knob 'epsilon' is not read by fista")):
+                           "line 11: solver knob 'epsilon' is not read by fista"),
+                          ("\n[solver.gd]\nomega = 0.1\n",
+                           "line 11: solver knob 'omega' is not read by gd")):
         path.write_text(CONFIG + tail)
         code = main(["sweep", "--config", str(path), "--out", str(out)])
         assert code == 2

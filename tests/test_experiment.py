@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparsenewton import (ExperimentConfig, ProblemData, SolverConfig, SparseMatrix, TomoGeometry,
-                         build_parallel_tomo, experiment, parse_config, run_experiment, solvers)
+                         experiment, parse_config, run_experiment, solvers)
 from sparsenewton.experiment import (
     SCHEMA_LINE,
     SUMMARY_HEADER,
@@ -43,7 +43,7 @@ def test_make_solver_config_defaults(tmp_path):
     assert cfg.epsilon == 0.0
     cfg, _ = make_solver_config("ista", {}, 1.0, y)
     assert cfg.max_iter == 50000
-    assert cfg.warm_start == 0
+    assert cfg.warm_start is None  # only the methods on x~ warm start
     cfg, alpha = make_solver_config("fista", {"alpha": 0.5, "max_iter": 7}, 1.0, y)
     assert alpha == 0.5
     assert cfg.max_iter == 7
@@ -279,12 +279,10 @@ def test_a_sweep_computes_each_instance_warm_start_once(tmp_path, call_log):
     assert len(calls) == 2 + len(cells)
 
 
-@pytest.mark.parametrize("knob,shared", [("omega", False), ("tau", False),
+@pytest.mark.parametrize("knob,shared", [("alpha", False), ("tau", False), ("warm_start", False),
                                          ("inner_tol", True)])  # FISTA does not read inner_tol
 def test_a_warm_start_is_shared_only_at_equal_inputs(tmp_path, call_log, knob, shared):
-    value = {"tau": 1.2, "inner_tol": 1e-3}.get(knob)
-    if knob == "omega":  # half the "auto" step, so FISTA still converges
-        value = 0.45 / build_parallel_tomo(SHARED.geometry).norm2_estimate() ** 2
+    value = {"alpha": 1e-3, "tau": 1.2, "warm_start": 3, "inner_tol": 1e-3}[knob]
     calls = call_log(solvers, "run_fista")
     cfg = dataclasses.replace(SHARED, out=str(tmp_path), solver_overrides={"lm": {knob: value}})
     rows = run_experiment(cfg)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsenewton import (
@@ -123,6 +123,7 @@ def test_projection_rows_match_single_rays():
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 9), half=st.integers(1, 6), n_beams=st.integers(1, 9),
        spacing=st.one_of(st.sampled_from([None, 1.0, 0.5, 0.25]), st.floats(0.05, 3.0)))
+@example(m=128, half=90, n_beams=180, spacing=None)  # the 180-angle build at m = 128
 def test_turned_angles_match_a_direct_trace(m, half, n_beams, spacing):
     # angle i + half is angle i turned by 90 degrees, and its rows are filled
     # from angle i's, not traced
@@ -238,11 +239,13 @@ def test_projector_refuses_a_geometry_over_the_nonzero_limit_before_allocating(m
         build_parallel_tomo(TomoGeometry(4, 3, 3))
 
 
-def test_projector_build_fills_its_arrays_in_place():
+@pytest.mark.parametrize("m,n_angles,n_beams,nnz", [(64, 120, 90, 826_284),
+                                                     (128, 180, 180, 4_957_304)])
+def test_projector_build_fills_its_arrays_in_place(m, n_angles, n_beams, nnz):
     # the column indices (int32 here) and values are allocated once at the
     # nonzero bound and shrunk to nnz: no per-angle lists, no concatenation
     # and no int64 round trip, so the peak stays near 13 bytes per unit
-    g = TomoGeometry(64, 120, 90)
+    g = TomoGeometry(m, n_angles, n_beams)
     bound = g.n_angles * g.n_beams * (2 * g.m + 1)
     tracemalloc.start()
     try:
@@ -250,7 +253,7 @@ def test_projector_build_fills_its_arrays_in_place():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert A.col_indices.dtype == np.int32 and A.nnz == 826_284
+    assert A.col_indices.dtype == np.int32 and A.nnz == nnz
     assert peak <= 14 * bound
     assert held <= 12.5 * A.nnz
 
