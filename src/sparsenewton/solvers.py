@@ -53,6 +53,8 @@ TR_RADIUS_START = 0.1  # Newton's first radius is TR_RADIUS_START * ||x0||
 TR_ACCEPT = 1e-4  # a trial step is taken when rho = actual / predicted decrease > TR_ACCEPT
 TR_SHRINK = 0.25  # rho < TR_SHRINK: the radius becomes TR_SHRINK * ||s||
 TR_EXPAND = 0.75  # rho > TR_EXPAND on the boundary: the radius doubles
+ISTA_STEP = 1.7  # omega "auto" = ISTA_STEP / ||A||_2^2; forward-backward converges in (0, 2/L)
+FISTA_STEP = 0.9  # omega "auto" = FISTA_STEP / ||A||_2^2; FISTA's rate needs <= 1/L
 
 STOP_DISCREPANCY = "discrepancy"
 STOP_MAX_ITER = "max_iter"
@@ -74,9 +76,10 @@ class SolverConfig:
     name's default.  So SolverConfig() runs each method as a sweep cell does;
     inner_tol = 1e-10 solves LM's and Newton's inner systems almost exactly.
     The regularization weight is ProblemData.alpha.  epsilon "auto" resolves
-    to 1e-4 * delta (see resolve_auto).  omega "auto" is 0.9 / ||A||_2^2 with
-    the norm estimated by power iterations run until the estimate repeats, at
-    most 100.
+    to 1e-4 * delta (see resolve_auto).  omega "auto" is 1.7 / ||A||_2^2 for
+    ISTA (ISTA_STEP) and 0.9 / ||A||_2^2 for FISTA and the warm start
+    (FISTA_STEP), with the norm estimated by power iterations run until the
+    estimate repeats, at most 100.
     """
 
     epsilon: object = None
@@ -133,10 +136,11 @@ def check_discrepancy(residual_norm: float, tau: float, delta: float) -> bool:
     return residual_norm <= tau * delta
 
 
-def _resolve_omega(A, cfg: SolverConfig) -> float:
+def _resolve_omega(A, cfg: SolverConfig, coeff: float) -> float:
+    """cfg.omega as a float; "auto" is coeff / ||A||_2^2."""
     if cfg.omega == "auto":
         sigma = A.norm2_estimate()
-        return 0.9 / max(sigma * sigma, np.finfo(float).tiny)
+        return coeff / max(sigma * sigma, np.finfo(float).tiny)
     return float(cfg.omega)
 
 
@@ -306,7 +310,7 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
     A, y = p.A, p.y_delta
 
     def step(n, it):
-        omega = _resolve_omega(A, cfg)  # in the step, so wall_s covers the power method
+        omega = _resolve_omega(A, cfg, ISTA_STEP)  # in the step, so wall_s covers the power method
         x = soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), p.alpha * omega)
         return _evaluate(p, None, x)
 
@@ -325,7 +329,7 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
 
     def step(n, it):
         nonlocal prev, t_prev
-        omega = _resolve_omega(A, cfg)  # in the step, as in run_ista
+        omega = _resolve_omega(A, cfg, FISTA_STEP)  # in the step, as in run_ista
         if prev is None:
             prev = it
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))

@@ -324,13 +324,13 @@ PINNED_WORK = {
     "desk-sweep": (
         ExperimentConfig(TomoGeometry(32, 60, 45), list(SOLVER_NAMES), [0.05, 0.1, 0.2], 8, 0,
                          "unused", "off"),
-        {"ista": 898, "fista": 410, "gd": 532, "lm": 374, "newton": 270, "power": 28, "setup": 1},
+        {"ista": 562, "fista": 410, "gd": 532, "lm": 374, "newton": 270, "power": 28, "setup": 1},
         (55, 243),
     ),
     "lownoise-m64": (
         ExperimentConfig(TomoGeometry(64, 120, 90), list(SOLVER_NAMES), [0.01], 5, 0,
                          "unused", "off"),
-        {"ista": 1724, "fista": 310, "gd": 453, "lm": 221, "newton": 305, "power": 28,
+        {"ista": 912, "fista": 310, "gd": 453, "lm": 221, "newton": 305, "power": 28,
          "setup": 1},
         (40, 218),
     ),

@@ -253,6 +253,19 @@ def test_norm2_estimate_stops_at_its_fixed_point(product_log):
     assert SparseMatrix.from_dense(np.zeros((3, 2))).norm2_estimate() == 0.0
 
 
+@pytest.mark.parametrize("geom", [TomoGeometry(32, 60, 45), TomoGeometry(64, 120, 90)])
+def test_norm2_estimate_of_a_sweep_projector_stops_where_its_value_repeats(geom, call_log):
+    # ISTA's "auto" step 1.7 / ||A||_2^2 passes 2 / ||A||_2^2 once the estimate
+    # is 8% low; on the sweep projectors the power loop leaves at a repeated
+    # value, not at its 100-iteration cap, and at m = 32 it is the SVD norm
+    A = build_parallel_tomo(geom)
+    iterations = call_log(SparseMatrix, "transpose_matvec")
+    estimate = A.norm2_estimate()
+    assert len(iterations) < 100
+    if geom.m == 32:
+        assert estimate == pytest.approx(np.linalg.norm(A.to_dense(), 2), rel=1e-12)
+
+
 def test_norm2_estimate_of_a_signed_matrix_keeps_the_random_start():
     # the top right singular vector (1, -1, 0) / sqrt(2), for 2 sqrt(2), is
     # orthogonal to the ones vector, from which the power method finds only

@@ -121,18 +121,55 @@ def test_ista_identity_fixed_point():
 
 
 def test_ista_descends_its_objective():
+    # every step in (0, 2 / ||A||_2^2), the "auto" 1.7 / ||A||_2^2 among them,
+    # lowers ||A x - y||^2 + 2 alpha ||x||_1; the trace's functionals column
+    # is T, which is not this objective, so the test computes it
     rng = np.random.default_rng(1)
     A, y, _ = conditioned_instance(rng)
-    alpha = 0.05
-    p = ProblemData(A, y, alpha)
-    values = []
+    desk = build_parallel_tomo(TomoGeometry(32, 60, 45))
+    y_desk, delta = add_noise(desk.matvec(shepp_logan(32)), 0.1, 0)
+    desk_cfg, alpha = make_solver_config("ista", {}, delta, y_desk)
+    runs = [(ProblemData(A, y, 0.05), SolverConfig(max_iter=300), 0.0, "stagnation"),
+            (ProblemData(desk, y_desk, alpha), desk_cfg, delta, "discrepancy")]
+    for p, cfg, level, reason in runs:
+        values = []
 
-    def note(_n, x):
-        r = A.matvec(x) - y
-        values.append(float(r @ r + 2.0 * alpha * np.abs(x).sum()))
+        def note(_n, x):
+            r = p.A.matvec(x) - p.y_delta
+            values.append(float(r @ r + 2.0 * p.alpha * np.abs(x).sum()))
 
-    run_ista(p, SolverConfig(max_iter=300), 0.0, callback=note)
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
+        _, trace = run_ista(p, cfg, level, callback=note)
+        assert trace.stop_reason == reason and trace.n_star >= 10
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
+
+
+def first_step_at(p, coeff):
+    """The first iterate from x = 0 at omega = coeff / ||A||_2^2, written out:
+    S_{alpha omega}(0 - omega A^T (A 0 - y))."""
+    sigma = p.A.norm2_estimate()
+    omega = coeff / (sigma * sigma)
+    v = np.zeros(p.A.n_cols) - omega * p.A.transpose_matvec(np.zeros(p.A.n_rows) - p.y_delta)
+    return np.sign(v) * np.maximum(np.abs(v) - p.alpha * omega, 0.0)
+
+
+def test_each_method_takes_its_own_auto_step():
+    # ISTA converges at any step in (0, 2/L), L = ||A||_2^2, and takes 1.7 / L;
+    # FISTA's rate needs a step <= 1/L, so FISTA and the warm start that runs
+    # it take 0.9 / L
+    rng = np.random.default_rng(16)
+    A, y, delta = conditioned_instance(rng, noise=0.05)
+    p = ProblemData(A, y, 0.02)
+    first = {}
+    for name in ("ista", "fista"):
+        rows = []
+        RUNNERS[name](p, SolverConfig(max_iter=1), delta, callback=lambda n, v: rows.append(v))
+        first[name] = rows[1]
+    assert first["ista"].any()
+    np.testing.assert_array_equal(first["ista"], first_step_at(p, 1.7))
+    np.testing.assert_array_equal(first["fista"], first_step_at(p, 0.9))
+    run_levenberg_marquardt(p, SolverConfig(warm_start=1, max_iter=0), delta)
+    (stored,) = p.warm_starts.values()
+    np.testing.assert_array_equal(stored, first_step_at(p, 0.9))
 
 
 @pytest.mark.filterwarnings("error")
