@@ -305,9 +305,18 @@ def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope
 
 def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
              x_true=None, callback=None, timer=time.perf_counter):
-    """Iterative soft thresholding on the original variable."""
+    """Iterative soft thresholding on the original variable.  An explicit
+    omega at or past 2 / norm2_estimate()^2, where forward-backward splitting
+    stops converging (the estimate is never above ||A||_2 up to round-off),
+    is refused with ValueError before the first row."""
     cfg = cfg.for_method("ista")
     A, y = p.A, p.y_delta
+    if cfg.omega != "auto":
+        sigma = A.norm2_estimate()
+        bound = 2.0 / max(sigma * sigma, np.finfo(float).tiny)
+        if cfg.omega >= bound:
+            raise ValueError(f"omega {cfg.omega!r} is at or past ISTA's convergence bound "
+                             f"2 / ||A||_2^2 = {bound:.6g}; reduce omega")
 
     def step(n, it):
         omega = _resolve_omega(A, cfg, ISTA_STEP)  # in the step, so wall_s covers the power method

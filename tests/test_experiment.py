@@ -330,7 +330,7 @@ PINNED_WORK = {
     "lownoise-m64": (
         ExperimentConfig(TomoGeometry(64, 120, 90), list(SOLVER_NAMES), [0.01], 5, 0,
                          "unused", "off"),
-        {"ista": 912, "fista": 310, "gd": 453, "lm": 221, "newton": 305, "power": 28,
+        {"ista": 912, "fista": 310, "gd": 453, "lm": 221, "newton": 305, "power": 32,
          "setup": 1},
         (40, 218),
     ),

@@ -3,11 +3,16 @@ inner solver, with property tests of the adjoint identity, the norm estimate
 behind omega = "auto", CG on random SPD operators and CG in a trust region
 on random symmetric ones."""
 
+import os
 import re
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,6 +25,7 @@ from sparsenewton import (
     build_parallel_tomo,
     cg_solve,
 )
+from sparsenewton import linalg
 from sparsenewton.linalg import check_number
 
 
@@ -141,6 +147,72 @@ def test_from_dense_roundtrip_and_counts():
     # the public arrays are the ones the products read: the matrix is stored once
     assert A.row_offsets is A._csr.indptr and A.col_indices is A._csr.indices
     assert A.values is A._csr.data
+
+
+def public_csr(A):
+    """scipy's product of A's public arrays, the one-pass reference."""
+    return scipy.sparse.csr_matrix((A.values, A.col_indices, A.row_offsets), shape=A.shape)
+
+
+def test_a_large_matrix_multiplies_by_row_halves_at_any_cpu_count(monkeypatch):
+    A = build_parallel_tomo(TomoGeometry(64, 120, 90))
+    assert A.nnz >= linalg._SPLIT_NNZ
+    k = int(np.searchsorted(A.row_offsets, A.nnz // 2))  # the row that holds entry nnz // 2
+    s = A.row_offsets[k]
+    top = scipy.sparse.csr_matrix((A.values[:s], A.col_indices[:s], A.row_offsets[:k + 1]),
+                                  shape=(k, A.n_cols))
+    bottom = scipy.sparse.csr_matrix((A.values[s:], A.col_indices[s:], A.row_offsets[k:] - s),
+                                     shape=(A.n_rows - k, A.n_cols))
+    rng = np.random.default_rng(21)
+    x, y = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
+    whole = public_csr(A)
+    one_pass = whole.T @ y
+    for cpus in (2, 1):  # the bottom half on the worker thread, then on the caller's
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        np.testing.assert_array_equal(A.matvec(x), whole @ x)
+        ATy = A.transpose_matvec(y)
+        np.testing.assert_array_equal(ATy, top.T @ y[:k] + bottom.T @ y[k:])
+        assert np.abs(ATy - one_pass).max() <= 1e-14 * np.abs(one_pass).max()
+        if cpus == 2:
+            assert any(t.name.startswith("sparsenewton-halves") for t in threading.enumerate())
+
+
+def test_a_small_matrix_multiplies_in_one_pass_on_the_calling_thread(monkeypatch):
+    A = build_parallel_tomo(TomoGeometry(32, 60, 45))
+    assert A.nnz < linalg._SPLIT_NNZ
+    monkeypatch.setattr(linalg, "_halves_pool", None)
+    rng = np.random.default_rng(22)
+    x, y = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
+    whole = public_csr(A)
+    np.testing.assert_array_equal(A.matvec(x), whole @ x)
+    np.testing.assert_array_equal(A.transpose_matvec(y), whole.T @ y)
+    assert linalg._halves_pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_child_forked_after_a_large_product_runs_its_own_halves(monkeypatch):
+    # the parent's worker thread does not exist in a forked child, so a child
+    # that submitted to the parent's pool would wait for it forever
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    A = build_parallel_tomo(TomoGeometry(64, 120, 90))
+    y = np.linspace(0.0, 1.0, A.n_rows)
+    expected = A.transpose_matvec(y)
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            code = 0 if np.array_equal(A.transpose_matvec(y), expected) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the forked child did not finish its product within 60 s"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_adjoint_consistency():

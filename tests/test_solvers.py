@@ -174,14 +174,14 @@ def test_each_method_takes_its_own_auto_step():
 
 @pytest.mark.filterwarnings("error")
 def test_ista_divergence_error():
-    # ISTA and FISTA stop on the first iterate whose functional value
-    # overflows, with no numpy warning on the way
+    # FISTA stops on the first iterate whose functional value overflows, with
+    # no numpy warning on the way; ISTA refuses such a step before its first
+    # row (test_ista_refuses_a_step_past_its_convergence_bound)
     rng = np.random.default_rng(2)
     A, y, _ = conditioned_instance(rng)
     p = ProblemData(A, y, 0.05)
-    for runner in (run_ista, run_fista):
-        with pytest.raises(DivergenceError, match="reduce omega"):
-            runner(p, SolverConfig(omega=1e6), 0.0)
+    with pytest.raises(DivergenceError, match="reduce omega"):
+        run_fista(p, SolverConfig(omega=1e6), 0.0)
     # every method stops at an initial point whose value overflows (for GD,
     # LM and Newton the first point of their FISTA warm start), and no step
     # was taken that omega could be blamed for
@@ -191,6 +191,24 @@ def test_ista_divergence_error():
             runner(huge, SolverConfig(), 1e190)
         assert str(info.value) == ("divergence: the functional value of the initial point "
                                    "is not finite")
+
+
+def test_ista_refuses_a_step_past_its_convergence_bound(product_log):
+    # forward-backward splitting converges for steps in (0, 2/L); at 2.05/L
+    # the desk cell at 10% noise ran 7,133 steps before its functional
+    # overflowed, and at 1.95/L it reaches the discrepancy stop
+    A = build_parallel_tomo(TomoGeometry(32, 60, 45))
+    y_delta, delta = add_noise(A.matvec(shepp_logan(32)), 0.1, 0)
+    cfg, alpha = make_solver_config("ista", {}, delta, y_delta)
+    p = ProblemData(A, y_delta, alpha)
+    L = A.norm2_estimate() ** 2
+    log = product_log()
+    rows = []
+    with pytest.raises(ValueError, match=r"convergence bound 2 / \|\|A\|\|_2\^2 = .*reduce omega"):
+        run_ista(p, replace(cfg, omega=2.05 / L), delta, callback=lambda n, v: rows.append(n))
+    assert rows == [] and log.products == 0
+    _, trace = run_ista(p, replace(cfg, omega=1.95 / L), delta)
+    assert trace.stop_reason == "discrepancy"
 
 
 @pytest.mark.filterwarnings("error")
@@ -647,6 +665,7 @@ def test_cold_start_shrinkage_makes_two_products_per_step(name, product_log):
     rng = np.random.default_rng(13)
     A, y, delta = conditioned_instance(rng, noise=0.01)
     p = ProblemData(A, y, 0.002)
+    A.norm2_estimate()  # ISTA checks an explicit omega against it, once per matrix
     log = product_log()
     _, trace = RUNNERS[name](p, SolverConfig(omega=0.2), delta)
     assert trace.n_star >= 5
