@@ -334,10 +334,9 @@ def build_instances(config: ExperimentConfig):
 def write_trace_csv(path, trace):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(SCHEMA_LINE + "\n" + TRACE_HEADER + "\n")
-        for i in range(len(trace.iterations)):
-            fh.write(f"{trace.iterations[i]},{trace.residuals[i]:.17g},"
-                     f"{trace.functionals[i]:.17g},{trace.rel_errors[i]:.17g},"
-                     f"{trace.wall_times[i]:.17g}\n")
+        for n, res, f, err, wall in zip(trace.iterations, trace.residuals, trace.functionals,
+                                        trace.rel_errors, trace.wall_times, strict=True):
+            fh.write(f"{n},{res:.17g},{f:.17g},{err:.17g},{wall:.17g}\n")
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1):

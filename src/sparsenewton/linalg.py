@@ -12,7 +12,8 @@ product.  A^T y is top^T y_1 + bottom^T y_2, summed in that order, which
 differs from the one-pass scatter by round-off only.  The halves are used at
 every CPU count, so the bytes do not depend on the machine; where the process
 may use two CPUs the bottom half runs on one worker thread while the caller
-runs the top half (scipy's kernels release the GIL).
+runs the top half (scipy's kernels release the GIL).  The CPUs are counted
+once at import, and again in a forked child, not on every product.
 
 ``cg_solve`` is the one CG of the package, with two modes.  Without a radius
 it solves a symmetric positive definite system.  With ``radius=`` it is
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -98,39 +98,30 @@ _COLUMN_CHUNK = 65536
 # hand-off to the worker costs about 0.07 ms a product.
 _SPLIT_NNZ = 1 << 19
 
-_halves_pool: Optional[ThreadPoolExecutor] = None  # runs bottom halves; started on first use
-_halves_pool_lock = threading.Lock()
+_halves_pool: Optional[ThreadPoolExecutor]  # runs bottom halves; None on one CPU
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of the machine's where the OS cannot say)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _start_halves_pool() -> None:
+    """Give this process a one-thread pool for bottom halves when it may use
+    two CPUs, otherwise none.  Runs at import and in a forked child, which
+    has none of its parent's threads."""
+    global _halves_pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    _halves_pool = (ThreadPoolExecutor(1, thread_name_prefix="sparsenewton-halves")
+                    if cpus >= 2 else None)
 
 
-def _drop_halves_pool() -> None:
-    """In a forked child: forget the parent's worker, which the child does not have."""
-    global _halves_pool, _halves_pool_lock
-    _halves_pool, _halves_pool_lock = None, threading.Lock()
-
-
+_start_halves_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_halves_pool)
+    os.register_at_fork(after_in_child=_start_halves_pool)
 
 
 def _run_halves(top, bottom, u, v):
-    """(top(u), bottom(v)), with bottom(v) on the worker thread when this
-    process may use two CPUs, otherwise after top(u)."""
-    global _halves_pool
-    if _usable_cpus() < 2:
+    """(top(u), bottom(v)), with bottom(v) on the pool's thread when there
+    is a pool, otherwise after top(u)."""
+    if _halves_pool is None:
         return top(u), bottom(v)
-    with _halves_pool_lock:
-        if _halves_pool is None:
-            _halves_pool = ThreadPoolExecutor(1, thread_name_prefix="sparsenewton-halves")
-        pool = _halves_pool
-    future = pool.submit(bottom, v)
+    future = _halves_pool.submit(bottom, v)
     try:
         first = top(u)
     finally:
@@ -157,7 +148,9 @@ class SparseMatrix:
     With nnz >= _SPLIT_NNZ every product runs as two row halves split at the
     row holding entry nnz // 2 (see the module docstring).  The halves are
     views of the three arrays; only the bottom half's row offsets are copied,
-    re-based to start at 0.
+    re-based to start at 0.  Whether the bottom half runs on a worker thread
+    was settled when the module was imported (or the process forked) from
+    the CPUs the process could use then; no product counts them.
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):

@@ -136,11 +136,18 @@ def check_discrepancy(residual_norm: float, tau: float, delta: float) -> bool:
     return residual_norm <= tau * delta
 
 
+def _lipschitz(A) -> float:
+    """L = ||A||_2^2 from A.norm2_estimate(), at least the smallest normal
+    float: the Lipschitz constant of the data term's gradient, which ISTA's
+    and FISTA's steps are fractions of."""
+    sigma = A.norm2_estimate()
+    return max(sigma * sigma, np.finfo(float).tiny)
+
+
 def _resolve_omega(A, cfg: SolverConfig, coeff: float) -> float:
-    """cfg.omega as a float; "auto" is coeff / ||A||_2^2."""
+    """cfg.omega as a float; "auto" is coeff / L (_lipschitz)."""
     if cfg.omega == "auto":
-        sigma = A.norm2_estimate()
-        return coeff / max(sigma * sigma, np.finfo(float).tiny)
+        return coeff / _lipschitz(A)
     return float(cfg.omega)
 
 
@@ -312,8 +319,7 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
     cfg = cfg.for_method("ista")
     A, y = p.A, p.y_delta
     if cfg.omega != "auto":
-        sigma = A.norm2_estimate()
-        bound = 2.0 / max(sigma * sigma, np.finfo(float).tiny)
+        bound = 2.0 / _lipschitz(A)
         if cfg.omega >= bound:
             raise ValueError(f"omega {cfg.omega!r} is at or past ISTA's convergence bound "
                              f"2 / ||A||_2^2 = {bound:.6g}; reduce omega")

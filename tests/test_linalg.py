@@ -6,9 +6,11 @@ on random symmetric ones."""
 import os
 import re
 import signal
+import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -154,7 +156,15 @@ def public_csr(A):
     return scipy.sparse.csr_matrix((A.values, A.col_indices, A.row_offsets), shape=A.shape)
 
 
-def test_a_large_matrix_multiplies_by_row_halves_at_any_cpu_count(monkeypatch):
+@pytest.fixture
+def fresh_pool():
+    """A one-thread pool like the one linalg starts, shut down afterwards."""
+    pool = ThreadPoolExecutor(1, thread_name_prefix="sparsenewton-halves")
+    yield pool
+    pool.shutdown()
+
+
+def test_a_large_matrix_multiplies_by_row_halves_at_any_cpu_count(monkeypatch, fresh_pool):
     A = build_parallel_tomo(TomoGeometry(64, 120, 90))
     assert A.nnz >= linalg._SPLIT_NNZ
     k = int(np.searchsorted(A.row_offsets, A.nnz // 2))  # the row that holds entry nnz // 2
@@ -167,42 +177,93 @@ def test_a_large_matrix_multiplies_by_row_halves_at_any_cpu_count(monkeypatch):
     x, y = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
     whole = public_csr(A)
     one_pass = whole.T @ y
-    for cpus in (2, 1):  # the bottom half on the worker thread, then on the caller's
-        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    for pool in (fresh_pool, None):  # the bottom half on the worker thread, then on the caller's
+        monkeypatch.setattr(linalg, "_halves_pool", pool)
         np.testing.assert_array_equal(A.matvec(x), whole @ x)
         ATy = A.transpose_matvec(y)
         np.testing.assert_array_equal(ATy, top.T @ y[:k] + bottom.T @ y[k:])
         assert np.abs(ATy - one_pass).max() <= 1e-14 * np.abs(one_pass).max()
-        if cpus == 2:
+        if pool is not None:
             assert any(t.name.startswith("sparsenewton-halves") for t in threading.enumerate())
+
+
+class RefusingPool:
+    """A pool that fails any product handed to it."""
+
+    def submit(self, *args):
+        raise AssertionError("a product was handed to the worker thread")
 
 
 def test_a_small_matrix_multiplies_in_one_pass_on_the_calling_thread(monkeypatch):
     A = build_parallel_tomo(TomoGeometry(32, 60, 45))
     assert A.nnz < linalg._SPLIT_NNZ
-    monkeypatch.setattr(linalg, "_halves_pool", None)
+    monkeypatch.setattr(linalg, "_halves_pool", RefusingPool())
     rng = np.random.default_rng(22)
     x, y = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
     whole = public_csr(A)
     np.testing.assert_array_equal(A.matvec(x), whole @ x)
     np.testing.assert_array_equal(A.transpose_matvec(y), whole.T @ y)
-    assert linalg._halves_pool is None
+
+
+def test_products_do_not_count_the_cpus(monkeypatch):
+    A = build_parallel_tomo(TomoGeometry(64, 120, 90))
+    assert A.nnz >= linalg._SPLIT_NNZ
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append(pid) or {0, 1},
+                        raising=False)
+    x = np.linspace(0.0, 1.0, A.n_cols)
+    for _ in range(5):  # ten products
+        A.transpose_matvec(A.matvec(x))
+    assert calls == []
+
+
+def test_two_threads_multiplying_at_once_get_one_thread_s_results(monkeypatch, fresh_pool):
+    # both threads hand their bottom halves to the one worker
+    monkeypatch.setattr(linalg, "_halves_pool", fresh_pool)
+    A = build_parallel_tomo(TomoGeometry(64, 120, 90))
+    assert A.nnz >= linalg._SPLIT_NNZ
+    rng = np.random.default_rng(23)
+    xs = [rng.standard_normal(A.n_cols) for _ in range(2)]
+    expected = [A.transpose_matvec(A.matvec(x)) for x in xs]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def work(i):
+        start.wait()
+        got[i] = [A.transpose_matvec(A.matvec(xs[i])) for _ in range(20)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "the two threads did not finish within 60 s"
+    for i in range(2):
+        assert all(np.array_equal(g, expected[i]) for g in got[i])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_child_forked_after_a_large_product_runs_its_own_halves(monkeypatch):
+def test_a_child_forked_after_a_large_product_runs_its_own_halves(monkeypatch, fresh_pool):
     # the parent's worker thread does not exist in a forked child, so a child
     # that submitted to the parent's pool would wait for it forever
-    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(linalg, "_halves_pool", fresh_pool)
     A = build_parallel_tomo(TomoGeometry(64, 120, 90))
     y = np.linspace(0.0, 1.0, A.n_rows)
-    expected = A.transpose_matvec(y)
+    expected = A.transpose_matvec(y)  # starts the parent's worker thread
     pid = os.fork()
     if pid == 0:  # the child never returns into pytest
         code = 1
         try:
-            code = 0 if np.array_equal(A.transpose_matvec(y), expected) else 2
+            if linalg._halves_pool is fresh_pool:
+                code = 3
+            else:
+                code = 0 if np.array_equal(A.transpose_matvec(y), expected) else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
@@ -212,6 +273,7 @@ def test_a_child_forked_after_a_large_product_runs_its_own_halves(monkeypatch):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid, "the forked child did not finish its product within 60 s"
+    # 3: the child kept the parent's pool; 2: its product differed
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
