@@ -1,19 +1,25 @@
 """Vector and sparse-matrix primitives plus a matrix-free conjugate gradient.
 
 Vectors are plain 1-D float64 numpy arrays.  Matrices are stored once in CSR
-form; transpose products are evaluated as a scatter pass over the same three
-arrays (via the CSC view, which shares memory), so no transposed copy is ever
-materialized.
+form.  Products call the compiled CSR kernels behind scipy's own products
+directly (``csr_matvec`` and ``csc_matvec`` of ``scipy.sparse._sparsetools``,
+a private module), each adding into one zeroed output array per product.
+Transpose products are the scatter pass ``csc_matvec`` makes over the same
+three arrays read as the CSC form of A^T, so no transposed copy is ever
+materialized.  The kernels' results are those of scipy's public products;
+tier-1 pins them bit for bit, and ``sparsenewton verify`` checks them against
+dense products, so a scipy whose private kernels differ fails both.
 
 A matrix with at least _SPLIT_NNZ stored entries runs each product as two
-halves: the rows up to the one that holds entry nnz // 2, and the rest.  A x
-is the two halves' products end to end, equal bit for bit to the one-pass
-product.  A^T y is top^T y_1 + bottom^T y_2, summed in that order, which
-differs from the one-pass scatter by round-off only.  The halves are used at
-every CPU count, so the bytes do not depend on the machine; where the process
-may use two CPUs the bottom half runs on one worker thread while the caller
-runs the top half (scipy's kernels release the GIL).  The CPUs are counted
-once at import, and again in a forked child, not on every product.
+row blocks: the rows up to the one that holds entry nnz // 2, and the rest.
+A x writes each block's rows into its own slice of the output, equal bit for
+bit to the one-pass product.  A^T y is top^T y_1 + bottom^T y_2, summed in
+that order, which differs from the one-pass scatter by round-off only.  The
+blocks are used at every CPU count, so the bytes do not depend on the
+machine; where the process may use two CPUs the second block runs on one
+worker thread while the caller runs the first (the kernels release the GIL).
+The CPUs are counted once at import, and again in a forked child, not on
+every product.
 
 ``cg_solve`` is the one CG of the package, with two modes.  Without a radius
 it solves a symmetric positive definite system.  With ``radius=`` it is
@@ -34,6 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 
 class CurvatureError(RuntimeError):
@@ -116,17 +123,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_halves_pool)
 
 
-def _run_halves(top, bottom, u, v):
-    """(top(u), bottom(v)), with bottom(v) on the pool's thread when there
-    is a pool, otherwise after top(u)."""
-    if _halves_pool is None:
-        return top(u), bottom(v)
-    future = _halves_pool.submit(bottom, v)
+def _run_blocks(kernel, calls) -> None:
+    """kernel(*args) for each args of calls: the first in the caller, the
+    rest on the pool's thread when there is a pool, otherwise after the
+    first in the caller."""
+    if _halves_pool is None or len(calls) == 1:
+        for args in calls:
+            kernel(*args)
+        return
+    futures = [_halves_pool.submit(kernel, *args) for args in calls[1:]]
     try:
-        first = top(u)
+        kernel(*calls[0])
     finally:
-        second = future.result()
-    return first, second
+        for future in futures:
+            future.result()
 
 
 class SparseMatrix:
@@ -145,12 +155,16 @@ class SparseMatrix:
     values : array of float, length nnz
         Stored entries; must all be finite.
 
-    With nnz >= _SPLIT_NNZ every product runs as two row halves split at the
-    row holding entry nnz // 2 (see the module docstring).  The halves are
-    views of the three arrays; only the bottom half's row offsets are copied,
-    re-based to start at 0.  Whether the bottom half runs on a worker thread
-    was settled when the module was imported (or the process forked) from
-    the CPUs the process could use then; no product counts them.
+    Products call scipy's compiled CSR kernels (``scipy.sparse._sparsetools``,
+    a private module) on these arrays, each into one new output array; tier-1
+    and ``sparsenewton verify`` pin their results.  With nnz >= _SPLIT_NNZ
+    every product runs as two row blocks split at the row holding entry
+    nnz // 2 (see the module docstring), otherwise as one block, the whole
+    matrix.  A block's column indices and values are views of the arrays;
+    only the second block's row offsets are copied, re-based to start at 0.
+    Whether the second block runs on a worker thread was settled when the
+    module was imported (or the process forked) from the CPUs the process
+    could use then; no product counts them.
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
@@ -184,19 +198,16 @@ class SparseMatrix:
         self.row_offsets = self._csr.indptr
         self.col_indices = self._csr.indices
         self.values = self._csr.data
-        # CSC view sharing the CSR arrays; products through it are the scatter pass.
-        self._csc_t = self._csr.T
-        self._halves = self._halves_t = None
+        # (first row, end row, row offsets from 0, column indices, values) of each block
+        cuts = [0, n_rows]
         if nnz >= _SPLIT_NNZ:
-            k = int(np.searchsorted(self.row_offsets, nnz // 2))
-            s = int(self.row_offsets[k])
-            top = scipy.sparse.csr_matrix(
-                (self.values[:s], self.col_indices[:s], self.row_offsets[:k + 1]),
-                shape=(k, n_cols), copy=False)
-            bottom = scipy.sparse.csr_matrix(
-                (self.values[s:], self.col_indices[s:], self.row_offsets[k:] - s),
-                shape=(n_rows - k, n_cols), copy=False)
-            self._halves, self._halves_t = (top, bottom), (top.T, bottom.T)
+            cuts.insert(1, int(np.searchsorted(self.row_offsets, nnz // 2)))
+        self._blocks = []
+        for a, b in zip(cuts, cuts[1:]):
+            s, e = int(self.row_offsets[a]), int(self.row_offsets[b])
+            offsets = self.row_offsets[a:b + 1]
+            self._blocks.append((a, b, offsets - s if s else offsets,
+                                 self.col_indices[s:e], self.values[s:e]))
         self._norm2_estimate: Optional[float] = None
         self._column_sums_of_squares: Optional[np.ndarray] = None
 
@@ -223,10 +234,10 @@ class SparseMatrix:
             raise ValueError(
                 f"matvec: matrix has {self.n_cols} columns but vector has shape {x.shape}"
             )
-        if self._halves is None:
-            return self._csr.dot(x)
-        top, bottom = self._halves
-        return np.concatenate(_run_halves(top.dot, bottom.dot, x, x))
+        out = np.zeros(self.n_rows)
+        _run_blocks(csr_matvec, [(b - a, self.n_cols, p, j, v, x, out[a:b])
+                                 for a, b, p, j, v in self._blocks])
+        return out
 
     def transpose_matvec(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
@@ -234,12 +245,12 @@ class SparseMatrix:
             raise ValueError(
                 f"transpose_matvec: matrix has {self.n_rows} rows but vector has shape {y.shape}"
             )
-        if self._halves is None:
-            return self._csc_t.dot(y)
-        top_t, bottom_t = self._halves_t
-        k = top_t.shape[1]
-        first, second = _run_halves(top_t.dot, bottom_t.dot, y[:k], y[k:])
-        return first + second
+        outs = [np.zeros(self.n_cols) for _ in self._blocks]
+        _run_blocks(csc_matvec, [(self.n_cols, b - a, p, j, v, y[a:b], out)
+                                 for (a, b, p, j, v), out in zip(self._blocks, outs)])
+        for part in outs[1:]:
+            outs[0] += part
+        return outs[0]
 
     def norm2_estimate(self) -> float:
         """Spectral-norm estimate from power iterations on A^T A, run until

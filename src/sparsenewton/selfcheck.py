@@ -22,13 +22,22 @@ def _random_problem(rng, n_rows, n_cols, alpha=0.5):
 
 
 def check_adjoint(rng):
-    A = SparseMatrix.from_dense(rng.standard_normal((40, 25)))
-    x = rng.standard_normal(25)
-    y = rng.standard_normal(40)
-    lhs = float(A.matvec(x) @ y)
-    rhs = float(x @ A.transpose_matvec(y))
-    err = abs(lhs - rhs) / max(1.0, abs(lhs))
-    return err <= 1e-12, f"adjoint identity rel err {err:.2e}"
+    # the products call scipy's private kernels, so they are checked against
+    # dense products too; 760 x 700 (532,000 entries) takes the two-block path
+    gap = product_err = 0.0
+    for n_rows, n_cols in ((40, 25), (760, 700)):
+        dense = rng.standard_normal((n_rows, n_cols))
+        A = SparseMatrix.from_dense(dense)
+        x = rng.standard_normal(n_cols)
+        y = rng.standard_normal(n_rows)
+        Ax, ATy = A.matvec(x), A.transpose_matvec(y)
+        lhs, rhs = float(Ax @ y), float(x @ ATy)
+        gap = max(gap, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        for got, want in ((Ax, dense @ x), (ATy, dense.T @ y)):
+            product_err = max(product_err,
+                              float(np.linalg.norm(got - want) / np.linalg.norm(want)))
+    return (gap <= 1e-12 and product_err <= 1e-12,
+            f"adjoint identity rel err {gap:.2e}, products vs dense rel err {product_err:.2e}")
 
 def check_cg(rng):
     B = rng.standard_normal((30, 30))

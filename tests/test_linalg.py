@@ -205,6 +205,53 @@ def test_a_small_matrix_multiplies_in_one_pass_on_the_calling_thread(monkeypatch
     np.testing.assert_array_equal(A.transpose_matvec(y), whole.T @ y)
 
 
+# one block (below linalg._SPLIT_NNZ) and two row blocks (above it)
+SWEEP_GEOMETRIES = [TomoGeometry(32, 60, 45), TomoGeometry(64, 120, 90)]
+
+
+@pytest.mark.parametrize("geom", SWEEP_GEOMETRIES)
+def test_each_product_is_a_new_writable_array_of_its_own(geom, monkeypatch, fresh_pool):
+    # the kernels add into the output array, so each call must start from a fresh one
+    A = build_parallel_tomo(geom)
+    rng = np.random.default_rng(24)
+    x, y = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
+    for pool in (fresh_pool, None):
+        monkeypatch.setattr(linalg, "_halves_pool", pool)
+        for product, v in ((A.matvec, x), (A.transpose_matvec, y)):
+            first, second = product(v), product(v)
+            np.testing.assert_array_equal(first, second)
+            for result in (first, second):
+                assert result.flags.writeable and result.flags.owndata
+                for held in (A.row_offsets, A.col_indices, A.values, v):
+                    assert not np.shares_memory(result, held)
+            assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("geom", SWEEP_GEOMETRIES)
+def test_a_strided_vector_multiplies_like_its_contiguous_copy(geom, monkeypatch, fresh_pool):
+    A = build_parallel_tomo(geom)
+    rng = np.random.default_rng(25)
+    x, y = rng.standard_normal(2 * A.n_cols)[::2], rng.standard_normal(2 * A.n_rows)[::2]
+    assert not x.flags.c_contiguous and not y.flags.c_contiguous
+    for pool in (fresh_pool, None):
+        monkeypatch.setattr(linalg, "_halves_pool", pool)
+        np.testing.assert_array_equal(A.matvec(x), A.matvec(x.copy()))
+        np.testing.assert_array_equal(A.transpose_matvec(y), A.transpose_matvec(y.copy()))
+
+
+def test_a_one_row_matrix_with_an_empty_second_block_and_an_empty_matrix_match_scipy():
+    rng = np.random.default_rng(26)
+    n = 600_000  # one row holds every entry, so the second row block has no rows
+    wide = SparseMatrix(1, n, np.array([0, n]), np.arange(n), rng.standard_normal(n))
+    assert wide.nnz >= linalg._SPLIT_NNZ
+    empty = SparseMatrix(3, 5, np.zeros(4, dtype=np.int32), [], [])
+    for A in (wide, empty):
+        whole = public_csr(A)
+        x, y = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
+        np.testing.assert_array_equal(A.matvec(x), whole @ x)
+        np.testing.assert_array_equal(A.transpose_matvec(y), whole.T @ y)
+
+
 def test_products_do_not_count_the_cpus(monkeypatch):
     A = build_parallel_tomo(TomoGeometry(64, 120, 90))
     assert A.nnz >= linalg._SPLIT_NNZ
