@@ -11,11 +11,15 @@ tier-1 pins them bit for bit, and ``sparsenewton verify`` checks them against
 dense products, so a scipy whose private kernels differ fails both.
 
 A matrix with at least _SPLIT_NNZ stored entries runs each product as two
-row blocks: the rows up to the one that holds entry nnz // 2, and the rest.
-A x writes each block's rows into its own slice of the output, equal bit for
-bit to the one-pass product.  A^T y is top^T y_1 + bottom^T y_2, summed in
-that order, which differs from the one-pass scatter by round-off only.  The
-blocks are used at every CPU count, so the bytes do not depend on the
+row blocks: the rows up to the one that holds entry nnz // 2, and the rest;
+a smaller matrix as one block, all of its rows.  A block is a row range of
+the one CSR and its view of the row offsets, whose absolute offsets the
+kernels follow into the whole column and value arrays, so no block holds a
+copy or a slice of its own.  A x writes each block's rows into its own slice
+of the output, equal bit for bit to the one-pass product.  A^T y gives each
+block an output of its own and adds them in block order, top^T y_1 +
+bottom^T y_2, which differs from the one-pass scatter by round-off only.
+The blocks are used at every CPU count, so the bytes do not depend on the
 machine; where the process may use two CPUs the second block runs on one
 worker thread while the caller runs the first (the kernels release the GIL).
 The CPUs are counted once at import, and again in a forked child, not on
@@ -124,19 +128,18 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_blocks(kernel, calls) -> None:
-    """kernel(*args) for each args of calls: the first in the caller, the
-    rest on the pool's thread when there is a pool, otherwise after the
-    first in the caller."""
+    """kernel(*args) for each args of calls, one or two: the first in the
+    caller, the second on the pool's thread when there is a pool, otherwise
+    after the first in the caller."""
     if _halves_pool is None or len(calls) == 1:
         for args in calls:
             kernel(*args)
         return
-    futures = [_halves_pool.submit(kernel, *args) for args in calls[1:]]
+    future = _halves_pool.submit(kernel, *calls[1])
     try:
         kernel(*calls[0])
     finally:
-        for future in futures:
-            future.result()
+        future.result()
 
 
 class SparseMatrix:
@@ -159,12 +162,10 @@ class SparseMatrix:
     a private module) on these arrays, each into one new output array; tier-1
     and ``sparsenewton verify`` pin their results.  With nnz >= _SPLIT_NNZ
     every product runs as two row blocks split at the row holding entry
-    nnz // 2 (see the module docstring), otherwise as one block, the whole
-    matrix.  A block's column indices and values are views of the arrays;
-    only the second block's row offsets are copied, re-based to start at 0.
-    Whether the second block runs on a worker thread was settled when the
-    module was imported (or the process forked) from the CPUs the process
-    could use then; no product counts them.
+    nnz // 2, otherwise as one block; the module docstring describes the
+    blocks.  Whether the second block runs on a worker thread was settled
+    when the module was imported (or the process forked) from the CPUs the
+    process could use then; no product counts them.
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
@@ -191,23 +192,18 @@ class SparseMatrix:
             raise ValueError("matrix values contain NaN or infinite entries")
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self._csr = scipy.sparse.csr_matrix(
+        csr = scipy.sparse.csr_matrix(
             (values, col_indices, row_offsets), shape=(n_rows, n_cols), copy=False
         )
         # scipy's own arrays (its index type, usually int32) are the public ones
-        self.row_offsets = self._csr.indptr
-        self.col_indices = self._csr.indices
-        self.values = self._csr.data
-        # (first row, end row, row offsets from 0, column indices, values) of each block
+        self.row_offsets = csr.indptr
+        self.col_indices = csr.indices
+        self.values = csr.data
+        # (first row, end row, view of their row offsets) of each block
         cuts = [0, n_rows]
         if nnz >= _SPLIT_NNZ:
             cuts.insert(1, int(np.searchsorted(self.row_offsets, nnz // 2)))
-        self._blocks = []
-        for a, b in zip(cuts, cuts[1:]):
-            s, e = int(self.row_offsets[a]), int(self.row_offsets[b])
-            offsets = self.row_offsets[a:b + 1]
-            self._blocks.append((a, b, offsets - s if s else offsets,
-                                 self.col_indices[s:e], self.values[s:e]))
+        self._blocks = [(a, b, self.row_offsets[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
         self._norm2_estimate: Optional[float] = None
         self._column_sums_of_squares: Optional[np.ndarray] = None
 
@@ -226,7 +222,8 @@ class SparseMatrix:
         return (self.n_rows, self.n_cols)
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        return scipy.sparse.csr_matrix((self.values, self.col_indices, self.row_offsets),
+                                       shape=self.shape).toarray()
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -235,8 +232,8 @@ class SparseMatrix:
                 f"matvec: matrix has {self.n_cols} columns but vector has shape {x.shape}"
             )
         out = np.zeros(self.n_rows)
-        _run_blocks(csr_matvec, [(b - a, self.n_cols, p, j, v, x, out[a:b])
-                                 for a, b, p, j, v in self._blocks])
+        _run_blocks(csr_matvec, [(b - a, self.n_cols, p, self.col_indices, self.values, x,
+                                  out[a:b]) for a, b, p in self._blocks])
         return out
 
     def transpose_matvec(self, y) -> np.ndarray:
@@ -246,8 +243,8 @@ class SparseMatrix:
                 f"transpose_matvec: matrix has {self.n_rows} rows but vector has shape {y.shape}"
             )
         outs = [np.zeros(self.n_cols) for _ in self._blocks]
-        _run_blocks(csc_matvec, [(self.n_cols, b - a, p, j, v, y[a:b], out)
-                                 for (a, b, p, j, v), out in zip(self._blocks, outs)])
+        _run_blocks(csc_matvec, [(self.n_cols, b - a, p, self.col_indices, self.values,
+                                  y[a:b], out) for (a, b, p), out in zip(self._blocks, outs)])
         for part in outs[1:]:
             outs[0] += part
         return outs[0]

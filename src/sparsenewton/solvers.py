@@ -222,7 +222,7 @@ def _evaluate(p: ProblemData, spec, x) -> _Point:
 
 
 def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
-             x_true, callback, timer):
+             x_true, callback, timer, t0=None):
     """The outer loop of every method; returns (x, trace).
 
     step(n, point) maps the _Point of row n to a _Point or None: the next
@@ -230,16 +230,16 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     search or trust-region trial accepted), or None when the method cannot
     move (stop reason "stagnation").  spec is None on the original variable
     and the transform on the substituted one.  Each row is evaluated once.
-    Wall times count from before the initial point, so row 0's includes the
-    warm start.  Every row, the initial point included, is evaluated and
-    recorded with numpy's overflow and invalid-value warnings off: an
-    overflow gives inf or nan, GD's search rejects a trial that has one, and
-    a row whose functional value is not finite ends the run with
-    DivergenceError.
+    Wall times count from t0, a timer() reading taken by the runner, or else
+    from before the initial point, so row 0's includes the warm start.
+    Every row, the initial point included, is evaluated and recorded with
+    numpy's overflow and invalid-value warnings off: an overflow gives inf
+    or nan, GD's search rejects a trial that has one, and a row whose
+    functional value is not finite ends the run with DivergenceError.
     """
     check_number("delta", delta, 0)
     y = p.y_delta
-    t0 = timer()
+    t0 = timer() if t0 is None else t0
     x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
     trace = IterationTrace(spec=spec)
 
@@ -315,9 +315,11 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
     """Iterative soft thresholding on the original variable.  An explicit
     omega at or past 2 / norm2_estimate()^2, where forward-backward splitting
     stops converging (the estimate is never above ||A||_2 up to round-off),
-    is refused with ValueError before the first row."""
+    is refused with ValueError before the first row; wall times count from
+    before that check, so they cover its power method."""
     cfg = cfg.for_method("ista")
     A, y = p.A, p.y_delta
+    t0 = timer()
     if cfg.omega != "auto":
         bound = 2.0 / _lipschitz(A)
         if cfg.omega >= bound:
@@ -329,7 +331,8 @@ def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
         x = soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), p.alpha * omega)
         return _evaluate(p, None, x)
 
-    return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
+    return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer,
+                    t0=t0)
 
 
 def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,

@@ -146,9 +146,6 @@ def test_from_dense_roundtrip_and_counts():
     assert A.shape == (9, 6)
     assert A.nnz == np.count_nonzero(dense)
     np.testing.assert_array_equal(A.to_dense(), dense)
-    # the public arrays are the ones the products read: the matrix is stored once
-    assert A.row_offsets is A._csr.indptr and A.col_indices is A._csr.indices
-    assert A.values is A._csr.data
 
 
 def public_csr(A):
@@ -205,8 +202,62 @@ def test_a_small_matrix_multiplies_in_one_pass_on_the_calling_thread(monkeypatch
     np.testing.assert_array_equal(A.transpose_matvec(y), whole.T @ y)
 
 
+class CountingPool:
+    """A pool that counts the products handed to it and runs them on pool."""
+
+    def __init__(self, pool):
+        self.pool, self.submits = pool, 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)
+
+
+def test_a_matrix_with_split_nnz_entries_splits_and_one_with_fewer_does_not(monkeypatch,
+                                                                             fresh_pool):
+    # small integer entries and vectors make every sum exact, so the split
+    # A^T y equals scipy's one-pass bytes too
+    rng = np.random.default_rng(27)
+    nnz, n_cols = linalg._SPLIT_NNZ, 1000
+    offsets = np.arange(0, nnz + 1, 8)
+    cols, vals = rng.integers(0, n_cols, nnz), rng.integers(-8, 9, nnz).astype(float)
+    at = SparseMatrix(offsets.size - 1, n_cols, offsets, cols, vals)
+    offsets[-1] -= 1
+    below = SparseMatrix(offsets.size - 1, n_cols, offsets, cols[:-1], vals[:-1])
+    x = rng.integers(-8, 9, n_cols).astype(float)
+    y = rng.integers(-8, 9, at.n_rows).astype(float)
+    counting = CountingPool(fresh_pool)
+    for A, pool in ((at, counting), (below, RefusingPool())):
+        monkeypatch.setattr(linalg, "_halves_pool", pool)
+        whole = public_csr(A)
+        np.testing.assert_array_equal(A.matvec(x), whole @ x)
+        np.testing.assert_array_equal(A.transpose_matvec(y), whole.T @ y)
+    assert (at.nnz, below.nnz, counting.submits) == (nnz, nnz - 1, 2)  # one block a product
+
+
 # one block (below linalg._SPLIT_NNZ) and two row blocks (above it)
 SWEEP_GEOMETRIES = [TomoGeometry(32, 60, 45), TomoGeometry(64, 120, 90)]
+
+
+@pytest.mark.parametrize("geom", SWEEP_GEOMETRIES)
+def test_every_kernel_call_reads_the_matrix_s_own_arrays(geom, monkeypatch, fresh_pool):
+    # the matrix is stored once: each block is a view of the row offsets and
+    # reads the whole column and value arrays, with no copy or slice of them
+    A = build_parallel_tomo(geom)
+    calls = []
+    for name in ("csr_matvec", "csc_matvec"):
+        def recording(*args, kernel=getattr(linalg, name)):
+            calls.append(args)
+            kernel(*args)
+
+        monkeypatch.setattr(linalg, name, recording)
+    monkeypatch.setattr(linalg, "_halves_pool", fresh_pool)
+    A.matvec(np.ones(A.n_cols))
+    A.transpose_matvec(np.ones(A.n_rows))
+    assert len(calls) == 2 * (1 + (A.nnz >= linalg._SPLIT_NNZ))
+    for _, _, Ap, Aj, Ax, _, _ in calls:
+        assert Aj is A.col_indices and Ax is A.values
+        assert np.shares_memory(Ap, A.row_offsets)
 
 
 @pytest.mark.parametrize("geom", SWEEP_GEOMETRIES)

@@ -799,8 +799,12 @@ def test_row_zero_wall_time_covers_the_warm_start(name, monkeypatch):
     assert trace.wall_times == [5.0] * (trace.n_star + 1)
 
 
-@pytest.mark.parametrize("name", ["ista", "fista"])
-def test_wall_time_covers_the_norm_estimate(name, monkeypatch):
+@pytest.mark.parametrize("name, omega", [
+    pytest.param("ista", "auto", id="ista"), pytest.param("fista", "auto", id="fista"),
+    # an explicit omega's power method runs in ISTA's refusal of omega >= 2/L
+    pytest.param("ista", 1e-3, id="ista-explicit-omega"),
+])
+def test_wall_time_covers_the_norm_estimate(name, omega, monkeypatch):
     clock = [0.0]
     estimate = SparseMatrix.norm2_estimate
 
@@ -811,8 +815,8 @@ def test_wall_time_covers_the_norm_estimate(name, monkeypatch):
     monkeypatch.setattr(SparseMatrix, "norm2_estimate", slow_estimate)
     rng = np.random.default_rng(15)
     A, y, delta = conditioned_instance(rng, noise=0.05)
-    _, trace = RUNNERS[name](ProblemData(A, y, 0.02), SolverConfig(max_iter=2), delta,
-                             timer=lambda: clock[0])
+    _, trace = RUNNERS[name](ProblemData(A, y, 0.02), SolverConfig(max_iter=2, omega=omega),
+                             delta, timer=lambda: clock[0])
     assert trace.n_star == 2
     assert trace.wall_times[-1] == clock[0] > 0.0
 

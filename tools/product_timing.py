@@ -3,11 +3,11 @@ benchmark workloads' projectors.
 
     PYTHONPATH=src python tools/product_timing.py --rounds 30 --calls 100
 
-For the m = 32 projector (32/60/45, desk-sweep's, below
-``linalg._SPLIT_NNZ``: one block) and the m = 64 projector (64/120/90,
-lownoise-m64's, above it: two row blocks) it prints the median over the
-rounds of the milliseconds per ``matvec`` and per ``transpose_matvec`` call
-in three ways:
+For the projector of each workload of ``WORKLOADS`` in
+``perfbench/workloads.py`` (run from its path by ``runpy``, which writes no
+bytecode beside it), with its number of row blocks, it prints the median
+over the rounds of the milliseconds per ``matvec`` and per
+``transpose_matvec`` call in three ways:
 
 - ``pool``: as a sweep runs them, the second block on the worker thread
   (absent when the process may use only one CPU, which starts no pool);
@@ -25,7 +25,9 @@ size a change to the products.
 from __future__ import annotations
 
 import argparse
+import runpy
 import statistics
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -33,7 +35,7 @@ import scipy.sparse
 
 from sparsenewton import TomoGeometry, build_parallel_tomo, linalg
 
-GEOMETRIES = (TomoGeometry(32, 60, 45), TomoGeometry(64, 120, 90))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def per_call_ms(product, v, calls: int) -> float:
@@ -75,10 +77,11 @@ def main(argv=None):
         parser.error("--rounds and --calls must be at least 1")
     print(f"median ms per call over {args.rounds} rounds of {args.calls} calls"
           + ("" if linalg._halves_pool is not None else "; one CPU, so no pool"))
-    for geometry in GEOMETRIES:
-        A = build_parallel_tomo(geometry)
-        blocks = 2 if A.nnz >= linalg._SPLIT_NNZ else 1
-        print(f"m={geometry.m} ({geometry.m}/{geometry.n_angles}/{geometry.n_beams}), "
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    for workload in workloads.values():
+        A = build_parallel_tomo(TomoGeometry(*workload.geometry))
+        blocks = len(A._blocks)
+        print(f"{workload.name} ({'/'.join(map(str, workload.geometry))}), "
               f"nnz {A.nnz:,}, {blocks} block{'s' * (blocks > 1)}")
         for (way, name), ms in time_products(A, args.rounds, args.calls).items():
             print(f"  {name:<17} {way:<7} {ms:.4f}")
