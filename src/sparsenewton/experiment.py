@@ -29,6 +29,10 @@ Outputs in the chosen directory (schemas frozen, first line ``# schema=1``):
 * ``trace_<solver>_<noise>_<rep>.csv`` with header iter,residual,functional,rel_error,wall_s
 * ``recon_<solver>_<noise>_<rep>.pgm`` reconstructions (plain PGM)
 
+A cell that fails gets an error row in the summary and no trace or recon
+file; the sweep deletes that cell's files if an earlier sweep left them.
+Files of cells that this sweep does not run stay untouched.
+
 With ``timing = wall`` (the default) the wall_s columns hold monotonic-clock
 seconds from before the warm start to each iterate; those values are real
 measurements and differ between runs.  ``timing = off`` records zeros
@@ -358,10 +362,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1):
             result = _run_cell(name, config.solver_overrides.get(name, {}), instance,
                                config.noise_levels[li], rep, config.timing, warm_starts)
             rows.append(result.summary_row())
+            stem = f"{result.solver}_{result.noise_rel:g}_{result.rep}"
+            trace_path, recon_path = out / f"trace_{stem}.csv", out / f"recon_{stem}.pgm"
             if result.error is None:
-                stem = f"{result.solver}_{result.noise_rel:g}_{result.rep}"
-                write_trace_csv(out / f"trace_{stem}.csv", result.trace)
-                write_pgm(out / f"recon_{stem}.pgm", result.x_image, config.geometry.m)
+                write_trace_csv(trace_path, result.trace)
+                write_pgm(recon_path, result.x_image, config.geometry.m)
+            else:  # no earlier sweep's files may stand beside an error row
+                trace_path.unlink(missing_ok=True)
+                recon_path.unlink(missing_ok=True)
 
     with open(out / "summary.csv", "w", encoding="ascii") as fh:
         fh.write(SCHEMA_LINE + "\n" + SUMMARY_HEADER + "\n")

@@ -99,6 +99,15 @@ def _index_array(name: str, arr) -> np.ndarray:
     return a
 
 
+def _operand(v, size: int, product: str, dimension: str) -> np.ndarray:
+    """v as a float64 array; ValueError, naming the product and the matrix
+    dimension it must match, unless its shape is (size,)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (size,):
+        raise ValueError(f"{product}: matrix has {size} {dimension} but vector has shape {v.shape}")
+    return v
+
+
 # Stored entries per pass of SparseMatrix.column_sums_of_squares.
 _COLUMN_CHUNK = 65536
 # Stored entries from which a SparseMatrix splits its products in two halves.
@@ -226,22 +235,14 @@ class SparseMatrix:
                                        shape=self.shape).toarray()
 
     def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_cols,):
-            raise ValueError(
-                f"matvec: matrix has {self.n_cols} columns but vector has shape {x.shape}"
-            )
+        x = _operand(x, self.n_cols, "matvec", "columns")
         out = np.zeros(self.n_rows)
         _run_blocks(csr_matvec, [(b - a, self.n_cols, p, self.col_indices, self.values, x,
                                   out[a:b]) for a, b, p in self._blocks])
         return out
 
     def transpose_matvec(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.n_rows,):
-            raise ValueError(
-                f"transpose_matvec: matrix has {self.n_rows} rows but vector has shape {y.shape}"
-            )
+        y = _operand(y, self.n_rows, "transpose_matvec", "rows")
         outs = [np.zeros(self.n_cols) for _ in self._blocks]
         _run_blocks(csc_matvec, [(self.n_cols, b - a, p, self.col_indices, self.values,
                                   y[a:b], out) for (a, b, p), out in zip(self._blocks, outs)])

@@ -7,6 +7,8 @@ their reconstructions are read off through back_transform.
 Each method is a step function; one driver, ``_iterate``, runs all of them
 and owns what they share:
 
+* the step rule of ISTA and FISTA: an explicit omega at or past
+  2 / ||A||_2^2 is refused before the first row;
 * the discrepancy principle ||residual|| <= tau * delta is checked at the
   initial point and after every step (boundary inclusive);
 * stop reasons are "discrepancy", "max_iter" or "stagnation" (the latter also
@@ -18,12 +20,12 @@ and owns what they share:
   and invalid-value warnings off, and a row whose functional value is not
   finite raises DivergenceError.
 
-Note on constants: the ISTA/FISTA update is
-x_{k+1} = S_{alpha omega}(x_k - omega A^T(A x_k - y)), whose fixed points
-minimize ||A x - y||^2 + 2 alpha ||x||_1.  The gradient step omega absorbs
-the factor 2 of d/dx ||A x - y||^2; the shrinkage weight is alpha * omega as
-written.  When comparing against the substituted functional at weight a, run
-ISTA with alpha = a / 2.
+Note on constants: the ISTA/FISTA update, written once in
+_forward_backward, is x_{k+1} = S_{alpha omega}(x_k - omega A^T(A x_k - y)),
+whose fixed points minimize ||A x - y||^2 + 2 alpha ||x||_1.  The gradient
+step omega absorbs the factor 2 of d/dx ||A x - y||^2; the shrinkage weight
+is alpha * omega as written.  When comparing against the substituted
+functional at weight a, run ISTA with alpha = a / 2.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _evaluate(p: ProblemData, spec, x) -> _Point:
 
 
 def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
-             x_true, callback, timer, t0=None):
+             x_true, callback, timer):
     """The outer loop of every method; returns (x, trace).
 
     step(n, point) maps the _Point of row n to a _Point or None: the next
@@ -230,8 +232,12 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     search or trust-region trial accepted), or None when the method cannot
     move (stop reason "stagnation").  spec is None on the original variable
     and the transform on the substituted one.  Each row is evaluated once.
-    Wall times count from t0, a timer() reading taken by the runner, or else
-    from before the initial point, so row 0's includes the warm start.
+    Wall times count from before the step rule and the initial point, so row
+    0's includes the warm start.  The step rule: on the original variable an
+    explicit omega at or past 2 / norm2_estimate()^2, where forward-backward
+    splitting stops converging (the estimate is never above ||A||_2 up to
+    round-off), is refused with ValueError before the first row, and the
+    wall times cover the power method behind that check.
     Every row, the initial point included, is evaluated and recorded with
     numpy's overflow and invalid-value warnings off: an overflow gives inf
     or nan, GD's search rejects a trial that has one, and a row whose
@@ -239,7 +245,12 @@ def _iterate(p: ProblemData, cfg: SolverConfig, delta: float, step, spec, *,
     """
     check_number("delta", delta, 0)
     y = p.y_delta
-    t0 = timer() if t0 is None else t0
+    t0 = timer()
+    if spec is None and cfg.omega != "auto":  # GD, LM and Newton have omega None
+        bound = 2.0 / _lipschitz(p.A)
+        if cfg.omega >= bound:
+            raise ValueError(f"omega {cfg.omega!r} is at or past the convergence bound "
+                             f"2 / ||A||_2^2 = {bound:.6g} of ISTA and FISTA; reduce omega")
     x_true_norm = float(np.linalg.norm(x_true)) if x_true is not None else 0.0
     trace = IterationTrace(spec=spec)
 
@@ -310,44 +321,39 @@ def _armijo(p: ProblemData, spec: TransformSpec, point: _Point, direction, slope
     return None
 
 
+def _forward_backward(p: ProblemData, omega: float, z, Az) -> _Point:
+    """The forward-backward step from z, whose forward image is Az = A z: the
+    gradient step z - omega A^T (A z - y) on the data term, then shrinkage
+    at alpha * omega; one A^T product, plus one A product to evaluate it."""
+    x = soft_threshold(z - omega * p.A.transpose_matvec(Az - p.y_delta), p.alpha * omega)
+    return _evaluate(p, None, x)
+
+
 def run_ista(p: ProblemData, cfg: SolverConfig, delta: float, *,
              x_true=None, callback=None, timer=time.perf_counter):
-    """Iterative soft thresholding on the original variable.  An explicit
-    omega at or past 2 / norm2_estimate()^2, where forward-backward splitting
-    stops converging (the estimate is never above ||A||_2 up to round-off),
-    is refused with ValueError before the first row; wall times count from
-    before that check, so they cover its power method."""
+    """Iterative soft thresholding on the original variable: one
+    _forward_backward step from each iterate."""
     cfg = cfg.for_method("ista")
-    A, y = p.A, p.y_delta
-    t0 = timer()
-    if cfg.omega != "auto":
-        bound = 2.0 / _lipschitz(A)
-        if cfg.omega >= bound:
-            raise ValueError(f"omega {cfg.omega!r} is at or past ISTA's convergence bound "
-                             f"2 / ||A||_2^2 = {bound:.6g}; reduce omega")
 
-    def step(n, it):
-        omega = _resolve_omega(A, cfg, ISTA_STEP)  # in the step, so wall_s covers the power method
-        x = soft_threshold(it.x - omega * A.transpose_matvec(it.Fx - y), p.alpha * omega)
-        return _evaluate(p, None, x)
+    def step(n, it):  # omega in the step, so wall_s covers the power method
+        return _forward_backward(p, _resolve_omega(p.A, cfg, ISTA_STEP), it.x, it.Fx)
 
-    return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer,
-                    t0=t0)
+    return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 
 
 def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
               x_true=None, callback=None, timer=time.perf_counter):
-    """Accelerated soft thresholding with Beck and Teboulle's t-sequence
+    """Accelerated soft thresholding: one _forward_backward step from the
+    extrapolated point, with Beck and Teboulle's t-sequence
     t_k = (1 + sqrt(1 + 4 t_{k-1}^2))/2 and momentum weight (t_{k-1} - 1)/t_k.
     """
     cfg = cfg.for_method("fista")
-    A, y = p.A, p.y_delta
     prev = None
     t_prev = 1.0
 
     def step(n, it):
         nonlocal prev, t_prev
-        omega = _resolve_omega(A, cfg, FISTA_STEP)  # in the step, as in run_ista
+        omega = _resolve_omega(p.A, cfg, FISTA_STEP)  # in the step, as in run_ista
         if prev is None:
             prev = it
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
@@ -356,8 +362,7 @@ def run_fista(p: ProblemData, cfg: SolverConfig, delta: float, *,
         z = it.x + momentum * (it.x - prev.x)
         Az = it.Fx + momentum * (it.Fx - prev.Fx)  # exact by linearity
         prev = it
-        x = soft_threshold(z - omega * A.transpose_matvec(Az - y), p.alpha * omega)
-        return _evaluate(p, None, x)
+        return _forward_backward(p, omega, z, Az)
 
     return _iterate(p, cfg, delta, step, None, x_true=x_true, callback=callback, timer=timer)
 

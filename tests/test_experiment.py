@@ -198,14 +198,17 @@ def test_failed_cell_becomes_error_row(tmp_path, monkeypatch):
     def broken_ista(*args, **kwargs):
         raise ValueError("ista failed")
 
-    monkeypatch.setitem(RUNNERS, "ista", broken_ista)
     out = tmp_path / "err"
     cfg = ExperimentConfig(GEOM, ["ista", "lm"], [0.1], 1, 0, str(out), "off")
+    run_experiment(cfg)  # an earlier sweep's files for both cells
+    assert (out / "trace_ista_0.1_0.csv").exists() and (out / "recon_ista_0.1_0.pgm").exists()
+    monkeypatch.setitem(RUNNERS, "ista", broken_ista)
     rows = run_experiment(cfg)
     assert rows[0] == "ista,0.1,0,error,0,nan,nan"
     assert rows[1].startswith("lm,0.1,")
     assert not (out / "trace_ista_0.1_0.csv").exists()
-    assert (out / "trace_lm_0.1_0.csv").exists()
+    assert not (out / "recon_ista_0.1_0.pgm").exists()
+    assert (out / "trace_lm_0.1_0.csv").exists() and (out / "recon_lm_0.1_0.pgm").exists()
 
 
 @pytest.mark.parametrize("changes,message", [

@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import json
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -141,11 +142,14 @@ def test_readme_names_every_config_key_and_sweep_option():
 
 def module_from_text(relative_path):
     """The module at ROOT / relative_path, compiled from its text, so that no
-    bytecode is written beside it."""
+    bytecode is written beside it.  While it runs it stands in sys.modules
+    under its name, as an imported module does (dataclasses look it up)."""
     path = ROOT / relative_path
     module = types.ModuleType(path.stem)
     module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, module.__name__, module)
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
@@ -161,6 +165,24 @@ def test_every_benchmark_trace_wrapper_fires(tmp_path):
     finally:
         patches.restore()
     assert [name for name in names if tracer.counts[name] == 0] == []
+
+
+def test_benchmark_sweep_check_passes_a_small_sweep(tmp_path, monkeypatch):
+    """perfbench/run.py's own sweep and check_sweep, which read CellResult
+    fields and patch experiment._run_cell, accept every cell of a small
+    sweep; a change that breaks them must fail here too."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets them at import
+    for name in ("speed", "workloads", "tracing"):
+        monkeypatch.setitem(sys.modules, name, module_from_text(f"perfbench/{name}.py"))
+    run = module_from_text("perfbench/run.py")
+    config = ExperimentConfig(TomoGeometry(8, 12, 10), list(SOLVER_NAMES), [0.01], timing="off")
+    _, rows, results = run.sweep(config, tmp_path / "sweep")
+    gate = run.Gate()
+    run.check_sweep(gate, config, experiment.build_instances(config), rows, results, "sweep")
+    assert gate.problems == []
+    assert gate.attempted == len(SOLVER_NAMES)
 
 
 def test_sweep_digest_covers_the_benchmark_and_repeats_itself(tmp_path):

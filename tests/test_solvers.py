@@ -174,14 +174,15 @@ def test_each_method_takes_its_own_auto_step():
 
 @pytest.mark.filterwarnings("error")
 def test_ista_divergence_error():
-    # FISTA stops on the first iterate whose functional value overflows, with
-    # no numpy warning on the way; ISTA refuses such a step before its first
-    # row (test_ista_refuses_a_step_past_its_convergence_bound)
+    # FISTA at 1.9 / L, below the bound both ISTA and FISTA refuse
+    # (test_ista_refuses_a_step_past_its_convergence_bound), still diverges
+    # on this instance: it stops on the first iterate whose functional value
+    # overflows, with no numpy warning on the way
     rng = np.random.default_rng(2)
     A, y, _ = conditioned_instance(rng)
     p = ProblemData(A, y, 0.05)
     with pytest.raises(DivergenceError, match="reduce omega"):
-        run_fista(p, SolverConfig(omega=1e6), 0.0)
+        run_fista(p, SolverConfig(omega=1.9 / A.norm2_estimate() ** 2), 0.0)
     # every method stops at an initial point whose value overflows (for GD,
     # LM and Newton the first point of their FISTA warm start), and no step
     # was taken that omega could be blamed for
@@ -194,19 +195,24 @@ def test_ista_divergence_error():
 
 
 def test_ista_refuses_a_step_past_its_convergence_bound(product_log):
-    # forward-backward splitting converges for steps in (0, 2/L); at 2.05/L
-    # the desk cell at 10% noise ran 7,133 steps before its functional
-    # overflowed, and at 1.95/L it reaches the discrepancy stop
+    # forward-backward splitting converges for steps in (0, 2/L), and ISTA
+    # and FISTA both refuse an explicit step past it; at 2.05/L the desk cell
+    # at 10% noise ran 7,133 ISTA steps and 386 FISTA steps before its
+    # functional overflowed, and at 1.95/L ISTA reaches the discrepancy stop
+    # (FISTA at 1.9/L diverges there, at iterate 450)
     A = build_parallel_tomo(TomoGeometry(32, 60, 45))
     y_delta, delta = add_noise(A.matvec(shepp_logan(32)), 0.1, 0)
-    cfg, alpha = make_solver_config("ista", {}, delta, y_delta)
-    p = ProblemData(A, y_delta, alpha)
     L = A.norm2_estimate() ** 2
     log = product_log()
-    rows = []
-    with pytest.raises(ValueError, match=r"convergence bound 2 / \|\|A\|\|_2\^2 = .*reduce omega"):
-        run_ista(p, replace(cfg, omega=2.05 / L), delta, callback=lambda n, v: rows.append(n))
-    assert rows == [] and log.products == 0
+    for name in ("fista", "ista"):  # ISTA last: cfg and p are its own below
+        cfg, alpha = make_solver_config(name, {}, delta, y_delta)
+        p = ProblemData(A, y_delta, alpha)
+        rows = []
+        with pytest.raises(ValueError,
+                           match=r"convergence bound 2 / \|\|A\|\|_2\^2 = .*reduce omega"):
+            RUNNERS[name](p, replace(cfg, omega=2.05 / L), delta,
+                          callback=lambda n, v: rows.append(n))
+        assert rows == [] and log.products == 0, name
     _, trace = run_ista(p, replace(cfg, omega=1.95 / L), delta)
     assert trace.stop_reason == "discrepancy"
 
@@ -801,8 +807,9 @@ def test_row_zero_wall_time_covers_the_warm_start(name, monkeypatch):
 
 @pytest.mark.parametrize("name, omega", [
     pytest.param("ista", "auto", id="ista"), pytest.param("fista", "auto", id="fista"),
-    # an explicit omega's power method runs in ISTA's refusal of omega >= 2/L
+    # an explicit omega's power method runs in the refusal of omega >= 2/L
     pytest.param("ista", 1e-3, id="ista-explicit-omega"),
+    pytest.param("fista", 1e-3, id="fista-explicit-omega"),
 ])
 def test_wall_time_covers_the_norm_estimate(name, omega, monkeypatch):
     clock = [0.0]
